@@ -136,14 +136,16 @@ mod tests {
     use super::*;
     use pm_lower::{compile_program, AcceleratorSpec, TargetMap};
     use pmlang::Domain;
+    use srdfg::Budget;
+    use std::sync::Arc;
 
     fn profile_src(src: &str) -> WorkProfile {
         let prog = pmlang::parse(src).unwrap();
         let g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
         let host = AcceleratorSpec::general_purpose("CPU", Domain::DataAnalytics);
         let targets = TargetMap::host_only(host);
-        let compiled = compile_program(&g, &targets).unwrap();
-        profile(&compiled.partitions[0], &g)
+        let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
+        profile(&compiled.partitions[0], &compiled.graph)
     }
 
     #[test]

@@ -127,13 +127,15 @@ impl Backend for Cpu {
 mod tests {
     use super::*;
     use pm_lower::{compile_program, TargetMap};
+    use srdfg::Budget;
+    use std::sync::Arc;
 
     fn estimate_src(src: &str) -> PerfEstimate {
         let prog = pmlang::parse(src).unwrap();
         let g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
         let targets = TargetMap::host_only(Cpu::default().accel_spec());
-        let compiled = compile_program(&g, &targets).unwrap();
-        Cpu::default().estimate(&compiled.partitions[0], &g, &WorkloadHints::default())
+        let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
+        Cpu::default().estimate(&compiled.partitions[0], &compiled.graph, &WorkloadHints::default())
     }
 
     #[test]
@@ -180,12 +182,13 @@ mod tests {
         let prog = pmlang::parse(src).unwrap();
         let g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
         let targets = TargetMap::host_only(Cpu::default().accel_spec());
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
         let cpu = Cpu::default();
-        let dense = cpu.estimate(&compiled.partitions[0], &g, &WorkloadHints::default());
+        let dense =
+            cpu.estimate(&compiled.partitions[0], &compiled.graph, &WorkloadHints::default());
         let sparse = cpu.estimate(
             &compiled.partitions[0],
-            &g,
+            &compiled.graph,
             &WorkloadHints {
                 effective_ops: Some(200),
                 effective_bytes: Some(2048),

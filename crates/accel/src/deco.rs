@@ -208,6 +208,8 @@ impl Backend for Deco {
 mod tests {
     use super::*;
     use pm_lower::{compile_program, lower, TargetMap};
+    use srdfg::Budget;
+    use std::sync::Arc;
 
     /// A small dot-product-with-scale DSP kernel (complex-free so every op
     /// maps onto DSP blocks).
@@ -227,7 +229,7 @@ mod tests {
         let host = AcceleratorSpec::general_purpose("CPU", Domain::Dsp);
         let mut targets = TargetMap::host_only(host);
         targets.set(deco.accel_spec());
-        lower(&mut g, &targets).unwrap();
+        lower(&mut g, &targets, None, &Budget::unlimited()).unwrap();
         pm_passes::Pass::run(&pm_passes::ElideMarshalling, &mut g);
         (g, targets)
     }
@@ -235,9 +237,9 @@ mod tests {
     #[test]
     fn fuses_macs_in_dot_product() {
         let (g, targets) = fir(64);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
         let part = compiled.partition(Some(Domain::Dsp)).unwrap();
-        let sched = Deco::default().schedule(part, &g);
+        let sched = Deco::default().schedule(part, &compiled.graph);
         // Every mul feeds exactly one adder-tree add — but only the 32
         // first-level adds have mul operands; those muls all fuse.
         assert!(sched.fused_macs >= 32, "fused {}", sched.fused_macs);
@@ -251,9 +253,9 @@ mod tests {
         let mut last = 0u64;
         for taps in [64, 512, 2048] {
             let (g, targets) = fir(taps);
-            let compiled = compile_program(&g, &targets).unwrap();
+            let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
             let part = compiled.partition(Some(Domain::Dsp)).unwrap();
-            let est = deco.estimate(part, &g, &WorkloadHints::default());
+            let est = deco.estimate(part, &compiled.graph, &WorkloadHints::default());
             assert!(est.cycles > last, "taps={taps}");
             last = est.cycles;
         }
@@ -262,9 +264,9 @@ mod tests {
     #[test]
     fn params_do_not_stream() {
         let (g, targets) = fir(64);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
         let part = compiled.partition(Some(Domain::Dsp)).unwrap();
-        let sched = Deco::default().schedule(part, &g);
+        let sched = Deco::default().schedule(part, &compiled.graph);
         // Streams x (256B) and y (4B) but not the 256B of taps.
         assert!(sched.streamed_bytes <= 300, "streamed {}", sched.streamed_bytes);
     }

@@ -150,6 +150,8 @@ mod tests {
     use super::*;
     use crate::vta::Vta;
     use pm_lower::{compile_program, lower, TargetMap};
+    use srdfg::Budget;
+    use std::sync::Arc;
 
     fn compiled_cnn(backend: &dyn Backend, s: usize) -> pm_lower::CompiledProgram {
         let src = pm_workloads::programs::resnet18(s);
@@ -158,8 +160,8 @@ mod tests {
         let host = AcceleratorSpec::general_purpose("CPU", Domain::DeepLearning);
         let mut targets = TargetMap::host_only(host);
         targets.set(backend.accel_spec());
-        lower(&mut g, &targets).unwrap();
-        compile_program(&g, &targets).unwrap()
+        lower(&mut g, &targets, None, &Budget::unlimited()).unwrap();
+        compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap()
     }
 
     #[test]
@@ -197,8 +199,9 @@ mod tests {
             let mut graph = g.clone();
             let mut targets = TargetMap::host_only(host.clone());
             targets.set(backend.accel_spec());
-            lower(&mut graph, &targets).unwrap();
-            let compiled = compile_program(&graph, &targets).unwrap();
+            lower(&mut graph, &targets, None, &Budget::unlimited()).unwrap();
+            let compiled =
+                compile_program(Arc::new(graph), &targets, &Budget::unlimited()).unwrap();
             backend
                 .estimate(
                     compiled.partition(Some(Domain::DeepLearning)).unwrap(),

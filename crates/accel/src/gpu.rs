@@ -140,18 +140,20 @@ impl Backend for Gpu {
 mod tests {
     use super::*;
     use pm_lower::{compile_program, TargetMap};
+    use srdfg::Budget;
+    use std::sync::Arc;
 
     fn estimates(src: &str) -> (PerfEstimate, PerfEstimate, PerfEstimate) {
         let prog = pmlang::parse(src).unwrap();
         let g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
         let targets = TargetMap::host_only(crate::cpu::Cpu::default().accel_spec());
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
         let part = &compiled.partitions[0];
         let h = WorkloadHints::default();
         (
-            crate::cpu::Cpu::default().estimate(part, &g, &h),
-            Gpu::titan_xp().estimate(part, &g, &h),
-            Gpu::jetson_xavier().estimate(part, &g, &h),
+            crate::cpu::Cpu::default().estimate(part, &compiled.graph, &h),
+            Gpu::titan_xp().estimate(part, &compiled.graph, &h),
+            Gpu::jetson_xavier().estimate(part, &compiled.graph, &h),
         )
     }
 
@@ -202,12 +204,15 @@ mod tests {
         .unwrap();
         let g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
         let targets = TargetMap::host_only(crate::cpu::Cpu::default().accel_spec());
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
         let part = &compiled.partitions[0];
         let gpu = Gpu::titan_xp();
-        let unbatched = gpu.estimate(part, &g, &WorkloadHints::default());
-        let batched =
-            gpu.estimate(part, &g, &WorkloadHints { gpu_batch: Some(16384), ..Default::default() });
+        let unbatched = gpu.estimate(part, &compiled.graph, &WorkloadHints::default());
+        let batched = gpu.estimate(
+            part,
+            &compiled.graph,
+            &WorkloadHints { gpu_batch: Some(16384), ..Default::default() },
+        );
         // A whole-image launch is orders of magnitude cheaper per block.
         assert!(
             batched.seconds * 100.0 < unbatched.seconds,

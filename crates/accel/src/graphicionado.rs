@@ -195,6 +195,8 @@ impl Backend for Graphicionado {
 mod tests {
     use super::*;
     use pm_lower::{compile_program, lower, TargetMap};
+    use srdfg::Budget;
+    use std::sync::Arc;
 
     /// BFS/SSSP-style vertex program over a dense weight matrix: one
     /// min-reduce over incident edges, one apply.
@@ -218,17 +220,17 @@ mod tests {
         let host = AcceleratorSpec::general_purpose("CPU", Domain::GraphAnalytics);
         let mut targets = TargetMap::host_only(host);
         targets.set(gacc.accel_spec());
-        lower(&mut g, &targets).unwrap();
+        lower(&mut g, &targets, None, &Budget::unlimited()).unwrap();
         (g, targets)
     }
 
     #[test]
     fn extracts_pipeline_blocks() {
         let (g, targets) = sssp(16);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
         let part = compiled.partition(Some(Domain::GraphAnalytics)).unwrap();
         let gacc = Graphicionado::default();
-        let p = gacc.pipeline_program(part, &g);
+        let p = gacc.pipeline_program(part, &compiled.graph);
         assert!(p.reduce_blocks >= 1, "{p:?}");
         assert!(p.apply_blocks >= 1, "{p:?}");
         assert_eq!(p.vertices, 16);
@@ -238,13 +240,13 @@ mod tests {
     #[test]
     fn sparse_hint_beats_dense_assumption() {
         let (g, targets) = sssp(64);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
         let part = compiled.partition(Some(Domain::GraphAnalytics)).unwrap();
         let gacc = Graphicionado::default();
-        let dense = gacc.estimate(part, &g, &WorkloadHints::default());
+        let dense = gacc.estimate(part, &compiled.graph, &WorkloadHints::default());
         let sparse = gacc.estimate(
             part,
-            &g,
+            &compiled.graph,
             &WorkloadHints { effective_ops: Some(1024), ..Default::default() },
         );
         assert!(sparse.cycles < dense.cycles);
@@ -253,11 +255,14 @@ mod tests {
     #[test]
     fn more_streams_go_faster() {
         let (g, targets) = sssp(64);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
         let part = compiled.partition(Some(Domain::GraphAnalytics)).unwrap();
         let one = Graphicionado { streams: 1, ..Default::default() };
         let eight = Graphicionado::default();
         let hints = WorkloadHints { effective_ops: Some(100_000), ..Default::default() };
-        assert!(eight.estimate(part, &g, &hints).cycles < one.estimate(part, &g, &hints).cycles);
+        assert!(
+            eight.estimate(part, &compiled.graph, &hints).cycles
+                < one.estimate(part, &compiled.graph, &hints).cycles
+        );
     }
 }

@@ -166,6 +166,8 @@ impl Backend for HyperStreams {
 mod tests {
     use super::*;
     use pm_lower::{compile_program, lower, TargetMap};
+    use srdfg::Budget;
+    use std::sync::Arc;
 
     fn compiled_blks(options: usize) -> (pm_lower::CompiledProgram, HyperStreams) {
         let src = pm_workloads::programs::black_scholes(options);
@@ -175,9 +177,9 @@ mod tests {
         let host = AcceleratorSpec::general_purpose("CPU", Domain::DataAnalytics);
         let mut targets = TargetMap::host_only(host);
         targets.set(hs.accel_spec());
-        lower(&mut g, &targets).unwrap();
+        lower(&mut g, &targets, None, &Budget::unlimited()).unwrap();
         pm_passes::Pass::run(&pm_passes::ElideMarshalling, &mut g);
-        (compile_program(&g, &targets).unwrap(), hs)
+        (compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap(), hs)
     }
 
     #[test]

@@ -251,8 +251,10 @@ mod tests {
     use crate::fault::ChaosConfig;
     use crate::runtime::TrajectoryInputs;
     use pm_lower::{compile_program, lower, TargetMap};
+    use srdfg::Budget;
     use srdfg::Tensor;
     use std::collections::HashMap;
+    use std::sync::Arc;
 
     fn host_compiled() -> (pm_lower::CompiledProgram, TargetMap) {
         let src = "main(input float x[4], output float y) {
@@ -262,8 +264,8 @@ mod tests {
         let prog = pmlang::parse(src).unwrap();
         let mut g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
         let targets = TargetMap::host_only(crate::cpu::Cpu::default().accel_spec());
-        lower(&mut g, &targets).unwrap();
-        (compile_program(&g, &targets).unwrap(), targets)
+        lower(&mut g, &targets, None, &Budget::unlimited()).unwrap();
+        (compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap(), targets)
     }
 
     #[test]

@@ -163,6 +163,8 @@ impl Backend for Robox {
 mod tests {
     use super::*;
     use pm_lower::{compile_program, lower, TargetMap};
+    use srdfg::Budget;
+    use std::sync::Arc;
 
     /// The paper's MobileRobot MPC structure at small scale.
     fn mpc(horizon: usize) -> (SrDfg, TargetMap) {
@@ -196,14 +198,14 @@ mod tests {
         let host = AcceleratorSpec::general_purpose("CPU", Domain::Robotics);
         let mut targets = TargetMap::host_only(host);
         targets.set(rb.accel_spec());
-        lower(&mut g, &targets).unwrap();
+        lower(&mut g, &targets, None, &Budget::unlimited()).unwrap();
         (g, targets)
     }
 
     #[test]
     fn mpc_lowers_to_group_granularity() {
         let (g, targets) = mpc(8);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
         let part = compiled.partition(Some(Domain::Robotics)).unwrap();
         // Matrix-vector products must stay whole (no scalar explosion).
         assert!(
@@ -220,9 +222,9 @@ mod tests {
         let mut last = 0u64;
         for h in [4, 16, 64] {
             let (g, targets) = mpc(h);
-            let compiled = compile_program(&g, &targets).unwrap();
+            let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
             let part = compiled.partition(Some(Domain::Robotics)).unwrap();
-            let est = rb.estimate(part, &g, &WorkloadHints::default());
+            let est = rb.estimate(part, &compiled.graph, &WorkloadHints::default());
             assert!(est.cycles > last, "h={h}");
             last = est.cycles;
         }
@@ -231,11 +233,14 @@ mod tests {
     #[test]
     fn more_lanes_help_dense_kernels() {
         let (g, targets) = mpc(32);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
         let part = compiled.partition(Some(Domain::Robotics)).unwrap();
         let narrow = Robox { lanes: 4, ..Default::default() };
         let wide = Robox { lanes: 32, ..Default::default() };
         let h = WorkloadHints::default();
-        assert!(wide.estimate(part, &g, &h).cycles < narrow.estimate(part, &g, &h).cycles);
+        assert!(
+            wide.estimate(part, &compiled.graph, &h).cycles
+                < narrow.estimate(part, &compiled.graph, &h).cycles
+        );
     }
 }

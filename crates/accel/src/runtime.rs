@@ -208,6 +208,8 @@ mod tests {
     use crate::fault::ChaosProfile;
     use crate::tabla::Tabla;
     use pm_lower::{compile_program, lower};
+    use srdfg::Budget;
+    use std::sync::Arc;
 
     /// A stateful two-domain program: a DSP smoother feeding a DA
     /// accumulator whose `state` persists across invocations.
@@ -226,8 +228,8 @@ mod tests {
         let mut targets = TargetMap::host_only(host);
         targets.set(Deco::default().accel_spec());
         targets.set(Tabla::default().accel_spec());
-        lower(&mut g, &targets).unwrap();
-        (compile_program(&g, &targets).unwrap(), targets)
+        lower(&mut g, &targets, None, &Budget::unlimited()).unwrap();
+        (compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap(), targets)
     }
 
     fn soc() -> Soc {

@@ -240,7 +240,7 @@ impl Soc {
     }
 
     /// Shares a lowering template cache (typically the compiler driver's)
-    /// with the fault-recovery path; see [`pm_lower::relower_without_cached`].
+    /// with the fault-recovery path; see [`pm_lower::relower_without`].
     pub fn with_template_cache(&mut self, cache: srdfg::TemplateCache) -> &mut Self {
         self.template_cache = Some(cache);
         self
@@ -276,7 +276,8 @@ impl Soc {
     }
 
     /// Estimates one invocation of `compiled`, with per-domain workload
-    /// hints (sparse sizes etc.).
+    /// hints (sparse sizes etc.): the [`Soc::run_chaos`] path under
+    /// [`ChaosConfig::off()`], which injects nothing.
     ///
     /// # Errors
     ///
@@ -289,7 +290,7 @@ impl Soc {
         compiled: &CompiledProgram,
         hints: &HashMap<Option<Domain>, WorkloadHints>,
     ) -> Result<SocReport, SocError> {
-        self.run_plain(compiled, hints, false)
+        self.execute(compiled, hints, &ChaosConfig::off(), None, false).map(|o| o.report)
     }
 
     /// Like [`Soc::run`] but pricing each accelerated partition at its
@@ -305,25 +306,7 @@ impl Soc {
         compiled: &CompiledProgram,
         hints: &HashMap<Option<Domain>, WorkloadHints>,
     ) -> Result<SocReport, SocError> {
-        self.run_plain(compiled, hints, true)
-    }
-
-    fn run_plain(
-        &self,
-        compiled: &CompiledProgram,
-        hints: &HashMap<Option<Domain>, WorkloadHints>,
-        expert: bool,
-    ) -> Result<SocReport, SocError> {
-        match self.dispatch(compiled, hints, expert, &ChaosConfig::off())? {
-            Round::Done(parts) => {
-                Ok(Self::assemble(parts, ChaosProfile::Off, 0, Vec::new(), Carry::default()))
-            }
-            // Unreachable by construction — the off plan injects nothing —
-            // but surfaced as an error rather than a panic.
-            Round::Downs(_) => Err(SocError::Relower {
-                detail: "device marked down under the off chaos profile (internal error)".into(),
-            }),
-        }
+        self.execute(compiled, hints, &ChaosConfig::off(), None, true).map(|o| o.report)
     }
 
     /// Runs one invocation under fault injection with host-fallback
@@ -352,6 +335,20 @@ impl Soc {
         hints: &HashMap<Option<Domain>, WorkloadHints>,
         cfg: &ChaosConfig,
         targets: Option<&TargetMap>,
+    ) -> Result<ChaosOutcome, SocError> {
+        self.execute(compiled, hints, cfg, targets, false)
+    }
+
+    /// The one dispatch path behind [`Soc::run`], [`Soc::run_expert`] and
+    /// [`Soc::run_chaos`]: declared outages, then dispatch rounds that
+    /// re-lower a failed device onto the host until one completes.
+    fn execute(
+        &self,
+        compiled: &CompiledProgram,
+        hints: &HashMap<Option<Domain>, WorkloadHints>,
+        cfg: &ChaosConfig,
+        targets: Option<&TargetMap>,
+        expert: bool,
     ) -> Result<ChaosOutcome, SocError> {
         let mut down: Vec<String> = Vec::new();
         let mut fallbacks: Vec<FallbackRecord> = Vec::new();
@@ -389,7 +386,7 @@ impl Soc {
         for _ in 0..=self.backends.len() + 1 {
             cfg.budget.charge("dispatch", 1).map_err(SocError::BudgetExhausted)?;
             let prog = relowered.as_ref().unwrap_or(compiled);
-            match self.dispatch(prog, hints, false, cfg)? {
+            match self.dispatch(prog, hints, expert, cfg)? {
                 Round::Done(parts) => {
                     let report = Self::assemble(
                         parts,
@@ -428,10 +425,8 @@ impl Soc {
     ) -> Result<CompiledProgram, SocError> {
         match targets {
             None => Err(fail),
-            Some(t) => {
-                pm_lower::relower_without_cached(compiled, t, down, self.template_cache.as_ref())
-                    .map_err(|e| SocError::Relower { detail: e.to_string() })
-            }
+            Some(t) => pm_lower::relower_without(compiled, t, down, self.template_cache.as_ref())
+                .map_err(|e| SocError::Relower { detail: e.to_string() }),
         }
     }
 
@@ -471,10 +466,8 @@ impl Soc {
         }
     }
 
-    /// Simulates every partition of one dispatch schedule. Per-partition
-    /// results are pure functions of `(part, graph, hints, cfg)`, so they
-    /// run in parallel; the fold below is serial in partition order,
-    /// keeping the outcome byte-identical to a serial run.
+    /// Simulates every partition of one dispatch schedule, in partition
+    /// order.
     fn dispatch(
         &self,
         compiled: &CompiledProgram,
@@ -482,19 +475,10 @@ impl Soc {
         expert: bool,
         cfg: &ChaosConfig,
     ) -> Result<Round, SocError> {
-        let sim = |part: &pm_lower::AccProgram| {
-            self.simulate_partition(part, compiled, hints, expert, cfg)
-        };
-        let sims: Vec<Result<PartSim, SocError>> = if compiled.partitions.len() > 1 {
-            use rayon::prelude::*;
-            compiled.partitions.par_iter().map(sim).collect()
-        } else {
-            compiled.partitions.iter().map(sim).collect()
-        };
-        let mut parts = Vec::with_capacity(sims.len());
+        let mut parts = Vec::with_capacity(compiled.partitions.len());
         let mut downs = Vec::new();
-        for s in sims {
-            match s? {
+        for part in &compiled.partitions {
+            match self.simulate_partition(part, compiled, hints, expert, cfg)? {
                 PartSim::Done(p) => parts.push(p),
                 PartSim::Down(info) => downs.push(info),
             }
@@ -607,9 +591,9 @@ impl Soc {
             let mut attempt: u32 = 1;
             let mut spent: u64 = 0;
             loop {
-                // All parallel charge sites share the `dispatch` stage so
-                // the wire error stays byte-stable whichever partition's
-                // charge crosses the limit first.
+                // Every dispatch charge names the `dispatch` stage, so the
+                // wire error reads the same whichever fragment's charge
+                // crosses the limit.
                 cfg.budget.charge("dispatch", 1).map_err(SocError::BudgetExhausted)?;
                 r.attempts += 1;
                 let Some(kind) = backend.inject_fault(&cfg.plan, idx, frag.kind, attempt) else {
@@ -676,6 +660,8 @@ mod tests {
     use crate::deco::Deco;
     use crate::tabla::Tabla;
     use pm_lower::{compile_program, lower, TargetMap};
+    use srdfg::Budget;
+    use std::sync::Arc;
 
     /// A two-domain pipeline: DSP filter feeding a DA classifier.
     fn compiled_two_domain(accelerate: &[Domain]) -> (CompiledProgram, TargetMap) {
@@ -706,9 +692,9 @@ mod tests {
         if accelerate.contains(&Domain::DataAnalytics) {
             targets.set(Tabla::default().accel_spec());
         }
-        lower(&mut g, &targets).unwrap();
+        lower(&mut g, &targets, None, &Budget::unlimited()).unwrap();
         pm_passes::Pass::run(&pm_passes::ElideMarshalling, &mut g);
-        (compile_program(&g, &targets).unwrap(), targets)
+        (compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap(), targets)
     }
 
     fn soc() -> Soc {
@@ -770,9 +756,9 @@ mod tests {
         let mut g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
         let mut targets = TargetMap::host_only(Cpu::default().accel_spec());
         targets.set(Tabla::default().accel_spec());
-        lower(&mut g, &targets).unwrap();
+        lower(&mut g, &targets, None, &Budget::unlimited()).unwrap();
         pm_passes::Pass::run(&pm_passes::ElideMarshalling, &mut g);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
         let s = soc();
         let report = s.run(&compiled, &HashMap::new()).unwrap();
         let da =
@@ -805,8 +791,8 @@ mod tests {
         spec.name = "TABAL".to_string();
         let mut targets = TargetMap::host_only(Cpu::default().accel_spec());
         targets.set(spec);
-        lower(&mut g, &targets).unwrap();
-        let compiled = compile_program(&g, &targets).unwrap();
+        lower(&mut g, &targets, None, &Budget::unlimited()).unwrap();
+        let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
         let err = soc().run(&compiled, &HashMap::new()).unwrap_err();
         match &err {
             SocError::MissingBackend { target, suggestion, attached, .. } => {

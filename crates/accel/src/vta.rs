@@ -171,6 +171,8 @@ impl Backend for Vta {
 mod tests {
     use super::*;
     use pm_lower::{compile_program, lower, TargetMap};
+    use srdfg::Budget;
+    use std::sync::Arc;
 
     /// A conv → relu → dense micro-CNN.
     fn micro_cnn(channels: usize, size: usize) -> (SrDfg, TargetMap) {
@@ -201,14 +203,14 @@ mod tests {
         let host = AcceleratorSpec::general_purpose("CPU", Domain::DeepLearning);
         let mut targets = TargetMap::host_only(host);
         targets.set(vta.accel_spec());
-        lower(&mut g, &targets).unwrap();
+        lower(&mut g, &targets, None, &Budget::unlimited()).unwrap();
         (g, targets)
     }
 
     #[test]
     fn cnn_stays_at_layer_granularity() {
         let (g, targets) = micro_cnn(8, 8);
-        let compiled = compile_program(&g, &targets).unwrap();
+        let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
         let part = compiled.partition(Some(Domain::DeepLearning)).unwrap();
         let ops: Vec<_> = part
             .fragments
@@ -238,9 +240,9 @@ mod tests {
         let mut last = 0u64;
         for s in [6, 10, 18] {
             let (g, targets) = micro_cnn(8, s);
-            let compiled = compile_program(&g, &targets).unwrap();
+            let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
             let part = compiled.partition(Some(Domain::DeepLearning)).unwrap();
-            let est = vta.estimate(part, &g, &WorkloadHints::default());
+            let est = vta.estimate(part, &compiled.graph, &WorkloadHints::default());
             assert!(est.cycles > last, "s={s}");
             last = est.cycles;
         }

@@ -439,6 +439,8 @@ mod tests {
     use super::*;
     use pm_lower::{compile_program, lower, AcceleratorSpec, TargetMap};
     use pmlang::Domain;
+    use srdfg::Budget;
+    use std::sync::Arc;
 
     fn cross_targets() -> TargetMap {
         let mut t =
@@ -450,8 +452,8 @@ mod tests {
     fn compile(source: &str, targets: &TargetMap) -> CompiledProgram {
         let (program, _) = pmlang::frontend(source).expect("frontend");
         let mut graph = srdfg::build(&program, &srdfg::Bindings::default()).expect("build");
-        lower(&mut graph, targets).expect("lower");
-        compile_program(&graph, targets).expect("compile")
+        lower(&mut graph, targets, None, &Budget::unlimited()).expect("lower");
+        compile_program(Arc::new(graph), targets, &Budget::unlimited()).expect("compile")
     }
 
     #[test]

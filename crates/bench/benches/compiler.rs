@@ -7,9 +7,10 @@ use pm_lower::{compile_program, lower, TargetMap};
 use pm_passes::{Pass, PassManager};
 use pm_workloads::programs;
 use pmlang::Domain;
-use srdfg::{Bindings, Machine, Tensor};
+use srdfg::{Bindings, Budget, Machine, TemplateCache, Tensor};
 use std::collections::HashMap;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_frontend(c: &mut Criterion) {
     let mut g = c.benchmark_group("frontend");
@@ -102,9 +103,15 @@ fn bench_lowering(c: &mut Criterion) {
         g.bench_function("to-scalar/lr-512", |b| {
             b.iter(|| {
                 let mut gr = graph.clone();
-                lower(&mut gr, black_box(&targets)).unwrap();
+                lower(
+                    &mut gr,
+                    black_box(&targets),
+                    Some(&TemplateCache::new()),
+                    &Budget::unlimited(),
+                )
+                .unwrap();
                 pm_passes::ElideMarshalling.run(&mut gr);
-                compile_program(&gr, &targets).unwrap()
+                compile_program(Arc::new(gr), &targets, &Budget::unlimited()).unwrap()
             })
         });
     }
@@ -118,8 +125,14 @@ fn bench_lowering(c: &mut Criterion) {
         g.bench_function("to-layers/resnet18-32", |b| {
             b.iter(|| {
                 let mut gr = graph.clone();
-                lower(&mut gr, black_box(&targets)).unwrap();
-                compile_program(&gr, &targets).unwrap()
+                lower(
+                    &mut gr,
+                    black_box(&targets),
+                    Some(&TemplateCache::new()),
+                    &Budget::unlimited(),
+                )
+                .unwrap();
+                compile_program(Arc::new(gr), &targets, &Budget::unlimited()).unwrap()
             })
         });
     }

@@ -8,8 +8,9 @@ use pm_lower::{compile_program, lower, CompiledProgram, TargetMap};
 use pm_passes::Pass;
 use pm_workloads::programs;
 use pmlang::Domain;
-use srdfg::Bindings;
+use srdfg::{Bindings, Budget, TemplateCache};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn compiled_for(backend: &dyn Backend, src: &str, elide: bool) -> CompiledProgram {
     pm_bench::figures::compile_single_target(backend, src, elide)
@@ -78,7 +79,7 @@ fn bench_ablation_elision(c: &mut Criterion) {
     let mut graph = srdfg::build(&prog, &Bindings::default()).unwrap();
     let mut targets = TargetMap::host_only(Backend::accel_spec(&pm_accel::Cpu::default()));
     targets.set(tabla.accel_spec());
-    lower(&mut graph, &targets).unwrap();
+    lower(&mut graph, &targets, Some(&TemplateCache::new()), &Budget::unlimited()).unwrap();
     c.bench_function("ablation/elide-marshalling/lr-1024", |b| {
         b.iter(|| {
             let mut g = graph.clone();
@@ -101,8 +102,8 @@ fn bench_ablation_fusion(c: &mut Criterion) {
         }
         let mut targets = TargetMap::host_only(Backend::accel_spec(&pm_accel::Cpu::default()));
         targets.set(robox.accel_spec());
-        lower(&mut graph, &targets).unwrap();
-        let compiled = compile_program(&graph, &targets).unwrap();
+        lower(&mut graph, &targets, Some(&TemplateCache::new()), &Budget::unlimited()).unwrap();
+        let compiled = compile_program(Arc::new(graph), &targets, &Budget::unlimited()).unwrap();
         robox
             .estimate(compiled.partition(Some(Domain::Robotics)).unwrap(), &compiled.graph, &hints)
             .cycles

@@ -72,8 +72,7 @@ fn main() {
         figures::extensions();
         println!();
     }
-    // Consumer of the tracked benchmark account (renders the
-    // single-thread `parallel_speedup: null` as "n/a").
+    // Consumer of the tracked benchmark account.
     if let Some(pos) = args.iter().position(|a| a == "--bench-summary") {
         let path = args
             .get(pos + 1)

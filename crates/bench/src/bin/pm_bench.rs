@@ -2,9 +2,9 @@
 //!
 //! Times every stage of the compilation pipeline (frontend, srDFG build,
 //! each mid-end pass, Algorithm-1 lowering, Algorithm-2 accelerator-IR
-//! compilation) over a fixed workload set, measures the serial-vs-parallel
-//! Algorithm-2 speedup, and writes the account as JSON so regressions are
-//! diffable across commits.
+//! compilation) over a fixed workload set and writes the account as JSON
+//! so regressions are diffable across commits. The compiler runs on one
+//! thread per request, so the stage times are single-threaded.
 //!
 //! Every workload is timed twice per driver: one **cold** run on a fresh
 //! [`Compiler`] (empty template cache — what a one-shot `pmc compile`
@@ -18,21 +18,9 @@
 //! cargo run --release -p pm-bench --bin pm-bench             # full set
 //! cargo run --release -p pm-bench --bin pm-bench -- --quick  # smoke set
 //!     --out <path>    write JSON here (default BENCH_compiler.json)
-//!     --threads <n>   force the worker-thread count (also:
-//!                     PM_BENCH_THREADS); recorded as "threads_explicit"
 //!     --only <substr> keep only workloads whose name contains <substr>
 //!                     (e.g. the CI kmeans-784 perf gate)
 //! ```
-//!
-//! `parallel_speedup` is only meaningful with ≥2 worker threads. When
-//! the count resolves to 1 (single-core machine or `RAYON_NUM_THREADS=1`)
-//! the figure is emitted as JSON `null` instead of a bogus 1.0×; a
-//! `--quick` run prints which of the two cases applies so CI logs are
-//! self-explanatory.
-//!
-//! The parallel Algorithm-2 path is additionally checked fragment-for-
-//! fragment against the serial path on every workload; a mismatch is a
-//! hard error (the determinism guarantee of DESIGN.md §8).
 //!
 //! The account also carries a `serve` section: the five-program serve
 //! family pushed through the real `pmc serve` admission queue + worker
@@ -58,8 +46,6 @@ struct WorkloadReport {
     cold: CompileTimings,
     /// Best warm run on the same driver: populated template cache.
     warm: CompileTimings,
-    compile_serial_s: f64,
-    compile_parallel_s: f64,
     /// Logical vs physical (deduped) footprint of the lowered graph.
     sharing: srdfg::SharingStats,
 }
@@ -73,32 +59,7 @@ fn main() {
         .and_then(|p| args.get(p + 1))
         .cloned()
         .unwrap_or_else(|| "BENCH_compiler.json".to_string());
-
-    let flag_threads = args.iter().position(|a| a == "--threads").and_then(|p| args.get(p + 1));
-    let env_threads = std::env::var("PM_BENCH_THREADS").ok();
-    let explicit = flag_threads.cloned().or(env_threads);
-    let threads_explicit = explicit.is_some();
-    if let Some(spec) = &explicit {
-        match spec.trim().parse::<usize>() {
-            Ok(n) if n > 0 => rayon::set_num_threads(n),
-            _ => {
-                eprintln!("pm-bench: invalid thread count `{spec}`");
-                std::process::exit(1);
-            }
-        }
-    }
     let only = args.iter().position(|a| a == "--only").and_then(|p| args.get(p + 1)).cloned();
-    let threads = rayon::current_num_threads();
-    if quick {
-        if threads >= 2 {
-            println!("pm-bench: parallel_speedup measured over {threads} worker threads");
-        } else {
-            println!(
-                "pm-bench: 1 worker thread resolved (single-core machine or \
-                 RAYON_NUM_THREADS=1); parallel_speedup will be null in the JSON"
-            );
-        }
-    }
 
     // Scales chosen so the full set exercises real graph sizes while the
     // quick set stays a few seconds for CI smoke runs; fft-256 is in both
@@ -128,26 +89,17 @@ fn main() {
         std::process::exit(1);
     }
     // Quick keeps the same warm-rep count as the full set so the CI gate
-    // compares best-of-3 against best-of-3; only the inner serial/parallel
-    // timing loop is shortened.
-    let (reps, inner) = if quick { (3, 3) } else { (3, 10) };
+    // compares best-of-3 against best-of-3.
+    let reps = 3;
 
     let mut reports = Vec::new();
     for (name, src) in &workloads {
-        match bench_workload(name, src, reps, inner) {
+        match bench_workload(name, src, reps) {
             Ok(report) => {
                 let (c, w) = (&report.cold, &report.warm);
-                let speedup = if threads >= 2 {
-                    format!(
-                        "alg2 speedup {:.2}x @{threads} threads",
-                        report.compile_serial_s / report.compile_parallel_s.max(1e-12)
-                    )
-                } else {
-                    "alg2 speedup n/a @1 thread".to_string()
-                };
                 println!(
                     "{:<14} {:>6} -> {:>5} nodes  cold {:>9.3} ms / warm {:>9.3} ms  \
-                     (warm lower {:>8.3} ms, compile {:>8.3} ms, cache {:>5.1}% hit)  {speedup}",
+                     (warm lower {:>8.3} ms, compile {:>8.3} ms, cache {:>5.1}% hit)",
                     report.name,
                     report.nodes_initial,
                     report.nodes_final,
@@ -168,7 +120,7 @@ fn main() {
 
     // Serve throughput: the same five-program bench family pushed through
     // the real admission queue + worker pool, cold then warm.
-    let serve = match bench_serve(quick, threads) {
+    let serve = match bench_serve(quick) {
         Ok(s) => {
             println!(
                 "serve          {} programs x (1 cold + {} warm)  {:>7.1} req/s  {:>8.1} inv/s  \
@@ -222,7 +174,7 @@ fn main() {
         soak_wall_s,
     );
 
-    let json = render_json(&reports, &serve, &soak, soak_wall_s, quick, threads, threads_explicit);
+    let json = render_json(&reports, &serve, &soak, soak_wall_s, quick);
     if let Err(e) = std::fs::write(&out_path, json) {
         eprintln!("pm-bench: cannot write {out_path}: {e}");
         std::process::exit(1);
@@ -232,14 +184,8 @@ fn main() {
 
 /// Compiles one workload once cold (fresh driver, empty template cache),
 /// then `reps` more times warm on the same driver (keeping the fastest
-/// warm run's stage breakdown), then times serial vs parallel Algorithm 2
-/// over the lowered graph and checks they agree exactly.
-fn bench_workload(
-    name: &str,
-    src: &str,
-    reps: usize,
-    inner: usize,
-) -> Result<WorkloadReport, String> {
+/// warm run's stage breakdown).
+fn bench_workload(name: &str, src: &str, reps: usize) -> Result<WorkloadReport, String> {
     let compiler = Compiler::cross_domain();
     let bindings = Bindings::default();
 
@@ -263,31 +209,6 @@ fn bench_workload(
     }
     let (warm, compiled) = best.expect("reps >= 1");
 
-    // Serial vs parallel Algorithm 2 over the already-lowered graph.
-    let targets = compiler.targets();
-    let serial =
-        pm_lower::compile_program_serial(&compiled.graph, targets).map_err(|e| e.to_string())?;
-    let parallel =
-        pm_lower::compile_program(&compiled.graph, targets).map_err(|e| e.to_string())?;
-    if serial.partitions != parallel.partitions {
-        return Err("parallel Algorithm 2 diverged from the serial path".into());
-    }
-    let time_best = |f: &dyn Fn()| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..inner {
-            let t = Instant::now();
-            f();
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let compile_serial_s = time_best(&|| {
-        std::hint::black_box(pm_lower::compile_program_serial(&compiled.graph, targets).unwrap());
-    });
-    let compile_parallel_s = time_best(&|| {
-        std::hint::black_box(pm_lower::compile_program(&compiled.graph, targets).unwrap());
-    });
-
     Ok(WorkloadReport {
         name: name.to_string(),
         nodes_initial,
@@ -295,8 +216,6 @@ fn bench_workload(
         partitions: compiled.partitions.len(),
         cold,
         warm,
-        compile_serial_s,
-        compile_parallel_s,
         sharing: srdfg::sharing_stats(&compiled.graph),
     })
 }
@@ -408,13 +327,14 @@ fn serve_request_line(
 /// program misses), then `reps` warm passes (every program must hit the
 /// content-addressed cache). Throughput figures come from the warm
 /// passes — the compile-once/serve-many steady state.
-fn bench_serve(quick: bool, threads: usize) -> Result<ServeReport, String> {
+fn bench_serve(quick: bool) -> Result<ServeReport, String> {
     let reps = if quick { 2 } else { 5 };
     let invocations = 3u64;
     let workloads = serve_workloads();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let cfg = ServeConfig {
         shards: 2,
-        workers: threads.clamp(1, 4),
+        workers: cores.clamp(1, 4),
         queue_depth: 1024,
         ..Default::default()
     };
@@ -514,14 +434,10 @@ fn render_json(
     soak: &polymath::SoakReport,
     soak_wall_s: f64,
     quick: bool,
-    threads: usize,
-    threads_explicit: bool,
 ) -> String {
     let sec = |d: std::time::Duration| format!("{:.9}", d.as_secs_f64());
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"threads_explicit\": {threads_explicit},\n"));
     out.push_str("  \"workloads\": [\n");
     for (i, r) in reports.iter().enumerate() {
         let t = &r.warm;
@@ -552,7 +468,7 @@ fn render_json(
         out.push_str(&format!(
             "      \"sharing\": {{\"logical_nodes\": {}, \"physical_nodes\": {}, \
              \"logical_edges\": {}, \"physical_edges\": {}, \"logical_bytes\": {}, \
-             \"physical_bytes\": {}, \"materialized_frac\": {:.4}}},\n",
+             \"physical_bytes\": {}, \"materialized_frac\": {:.4}}}\n",
             sh.logical_nodes,
             sh.physical_nodes,
             sh.logical_edges,
@@ -561,19 +477,6 @@ fn render_json(
             sh.physical_bytes,
             sh.physical_bytes as f64 / (sh.logical_bytes as f64).max(1.0)
         ));
-        out.push_str(&format!("      \"compile_serial_s\": {:.9},\n", r.compile_serial_s));
-        out.push_str(&format!("      \"compile_parallel_s\": {:.9},\n", r.compile_parallel_s));
-        out.push_str(&format!("      \"parallel_threads\": {threads},\n"));
-        // A 1.0x "speedup" at one worker thread is an artifact, not a
-        // measurement — null keeps downstream tooling from charting it.
-        if threads >= 2 {
-            out.push_str(&format!(
-                "      \"parallel_speedup\": {:.4}\n",
-                r.compile_serial_s / r.compile_parallel_s.max(1e-12)
-            ));
-        } else {
-            out.push_str("      \"parallel_speedup\": null\n");
-        }
         out.push_str(if i + 1 < reports.len() { "    },\n" } else { "    }\n" });
     }
     out.push_str("  ],\n");

@@ -10,8 +10,9 @@ use pm_accel::{Backend, Cpu, Gpu, HyperStreams, PerfEstimate, WorkloadHints};
 use pm_workloads::{apps, paper_suite, python, App};
 use pmlang::Domain;
 use polymath::{evaluate, geomean, standard_soc, Compiler, PlatformResults};
-use srdfg::Bindings;
+use srdfg::{Bindings, Budget, TemplateCache};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Evaluates the whole Table III suite (cached by the caller as needed).
 pub fn evaluate_suite() -> Vec<PlatformResults> {
@@ -403,8 +404,8 @@ pub fn portability() {
             let mut g = graph.clone();
             let mut targets = TargetMap::host_only(Backend::accel_spec(&Cpu::default()));
             targets.set(backend.accel_spec());
-            lower(&mut g, &targets).unwrap();
-            let compiled = compile_program(&g, &targets).unwrap();
+            lower(&mut g, &targets, Some(&TemplateCache::new()), &Budget::unlimited()).unwrap();
+            let compiled = compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap();
             backend
                 .estimate(
                     compiled.partition(Some(Domain::DeepLearning)).unwrap(),
@@ -531,11 +532,12 @@ pub fn compile_single_target(
     let mut graph = srdfg::build(&prog, &Bindings::default()).unwrap();
     let mut targets = pm_lower::TargetMap::host_only(Cpu::default().accel_spec());
     targets.set(backend.accel_spec());
-    pm_lower::lower(&mut graph, &targets).unwrap();
+    pm_lower::lower(&mut graph, &targets, Some(&TemplateCache::new()), &Budget::unlimited())
+        .unwrap();
     if elide {
         pm_passes::Pass::run(&pm_passes::ElideMarshalling, &mut graph);
     }
-    pm_lower::compile_program(&graph, &targets).unwrap()
+    pm_lower::compile_program(Arc::new(graph), &targets, &Budget::unlimited()).unwrap()
 }
 
 /// Writes the Fig. 7/8/9 rows as CSV for machine consumption.

@@ -839,7 +839,13 @@ fn lower_for(graph: &mut srdfg::SrDfg, target: &str) -> Result<(), String> {
         spec.domain,
     ));
     targets.set(spec);
-    pm_lower::lower(graph, &targets).map_err(|e| e.to_string())?;
+    pm_lower::lower(
+        graph,
+        &targets,
+        Some(&srdfg::TemplateCache::new()),
+        &srdfg::Budget::unlimited(),
+    )
+    .map_err(|e| e.to_string())?;
     pm_passes::Pass::run(&pm_passes::ElideMarshalling, graph);
     Ok(())
 }

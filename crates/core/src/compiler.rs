@@ -6,8 +6,7 @@ use pm_accel::{
     Backend, Cpu, Deco, DnnWeaver, Graphicionado, HyperStreams, Robox, Soc, Tabla, Vta,
 };
 use pm_lower::{
-    compile_program_budgeted, lower_budgeted, CompiledProgram, ProgramCache, ProgramCacheStats,
-    ProgramKey, TargetMap,
+    compile_program, lower, CompiledProgram, ProgramCache, ProgramCacheStats, ProgramKey, TargetMap,
 };
 use pm_passes::{Pass, PassManager, PassTiming};
 use pmlang::Domain;
@@ -186,7 +185,7 @@ impl Compiler {
 
     /// The driver's persistent lowering template cache. The returned handle
     /// aliases the compiler's store (it is `Arc`-backed), so it can be
-    /// passed to [`pm_lower::relower_without_cached`] or a fault-tolerant
+    /// passed to [`pm_lower::relower_without`] or a fault-tolerant
     /// runtime and every hit/insert is reflected in [`Compiler::cache_stats`].
     pub fn template_cache(&self) -> TemplateCache {
         self.template_cache.clone()
@@ -222,21 +221,13 @@ impl Compiler {
         self
     }
 
-    /// Runs the frontend and srDFG generation only.
+    /// Runs the frontend, srDFG generation and the mid-end only.
     ///
     /// # Errors
     ///
     /// Returns frontend or build errors.
     pub fn build_graph(&self, source: &str, bindings: &Bindings) -> Result<SrDfg, PolyMathError> {
-        let (program, _) = pmlang::frontend(source)?;
-        let mut graph = srdfg::build(&program, bindings)?;
-        if self.optimize {
-            PassManager::standard().run(&mut graph);
-        }
-        if self.fuse {
-            pm_passes::AlgebraicCombination.run(&mut graph);
-        }
-        Ok(graph)
+        self.front(source, bindings, &mut CompileTimings::default(), false)
     }
 
     /// Full compilation: frontend → srDFG → passes → lower → per-target IR.
@@ -249,16 +240,13 @@ impl Compiler {
         source: &str,
         bindings: &Bindings,
     ) -> Result<CompiledProgram, PolyMathError> {
-        let mut graph = self.build_graph(source, bindings)?;
-        let unlimited = Budget::unlimited();
-        lower_budgeted(&mut graph, &self.targets, Some(&self.template_cache), &unlimited)?;
-        pm_passes::ElideMarshalling.run(&mut graph);
-        pm_passes::PruneUnusedInputs.run(&mut graph);
-        Ok(compile_program_budgeted(Arc::new(graph), &self.targets, true, &unlimited)?)
+        let staged = self.staged(source, bindings, &Budget::unlimited(), Extras::Plain)?;
+        Ok(Arc::unwrap_or_clone(staged.program))
     }
 
     /// [`Compiler::compile`] with per-stage and per-pass wall-clock timing
-    /// (the instrumentation behind `pmc compile --timings` and `pm-bench`).
+    /// plus the static analyses (the instrumentation behind `pmc compile
+    /// --timings` and `pm-bench`).
     ///
     /// # Errors
     ///
@@ -268,65 +256,8 @@ impl Compiler {
         source: &str,
         bindings: &Bindings,
     ) -> Result<(CompiledProgram, CompileTimings), PolyMathError> {
-        let t0 = Instant::now();
-        let (program, _) = pmlang::frontend(source)?;
-        let frontend = t0.elapsed();
-
-        let t = Instant::now();
-        let mut graph = srdfg::build(&program, bindings)?;
-        let build = t.elapsed();
-
-        let t = Instant::now();
-        let mut passes = Vec::new();
-        if self.optimize {
-            passes = PassManager::standard().run_timed(&mut graph);
-        }
-        if self.fuse {
-            pm_passes::AlgebraicCombination.run(&mut graph);
-        }
-        let midend = t.elapsed();
-
-        // Abstract interpretation runs on the post-mid-end graph (before
-        // lowering explodes it into scalar fabric), matching what `pmc
-        // analyze` inspects; schedule hazards are timed after Algorithm 2.
-        let t = Instant::now();
-        let _ = pm_analyze::analyze_graph(&graph);
-        let analyze = t.elapsed();
-
-        let unlimited = Budget::unlimited();
-        let cache_before = self.template_cache.stats();
-        let t = Instant::now();
-        lower_budgeted(&mut graph, &self.targets, Some(&self.template_cache), &unlimited)?;
-        let lower_d = t.elapsed();
-        let cache = self.template_cache.stats().since(&cache_before);
-
-        let t = Instant::now();
-        pm_passes::ElideMarshalling.run(&mut graph);
-        pm_passes::PruneUnusedInputs.run(&mut graph);
-        let post_lower = t.elapsed();
-
-        let t = Instant::now();
-        let compiled = compile_program_budgeted(Arc::new(graph), &self.targets, true, &unlimited)?;
-        let compile = t.elapsed();
-
-        let t = Instant::now();
-        let _ = pm_analyze::analyze_schedule(&compiled, &self.targets);
-        let hazards = t.elapsed();
-
-        let timings = CompileTimings {
-            frontend,
-            build,
-            midend,
-            passes,
-            lower: lower_d,
-            post_lower,
-            compile,
-            analyze,
-            hazards,
-            cache,
-            total: t0.elapsed(),
-        };
-        Ok((compiled, timings))
+        let staged = self.staged(source, bindings, &Budget::unlimited(), Extras::Analyze)?;
+        Ok((Arc::unwrap_or_clone(staged.program), staged.timings))
     }
 
     /// [`Compiler::compile`] through the content-addressed program cache.
@@ -374,72 +305,127 @@ impl Compiler {
         budget: &Budget,
         gate: Option<&dyn Fn(&ProgramKey) -> bool>,
     ) -> Result<CachedCompile, PolyMathError> {
+        let staged = self.staged(source, bindings, budget, Extras::Cache(gate))?;
+        let (key, cache_hit) = staged.cache.expect("the cache stage ran");
+        Ok(CachedCompile { program: staged.program, cache_hit, key, timings: staged.timings })
+    }
+
+    /// The one copy of the pipeline: frontend → srDFG build → mid-end →
+    /// lower → post-lower → Algorithm 2, timing every stage. `extras`
+    /// adds what only one entry point does (see [`Extras`]).
+    fn staged(
+        &self,
+        source: &str,
+        bindings: &Bindings,
+        budget: &Budget,
+        extras: Extras<'_>,
+    ) -> Result<Staged, PolyMathError> {
         budget.check("compile")?;
+        let mut timings = CompileTimings::default();
         let t0 = Instant::now();
-        let t = Instant::now();
-        let (program, _) = pmlang::frontend(source)?;
-        let frontend = t.elapsed();
+        let analyze = matches!(extras, Extras::Analyze);
+        let mut graph = self.front(source, bindings, &mut timings, analyze)?;
 
-        let t = Instant::now();
-        let mut graph = srdfg::build(&program, bindings)?;
-        let build = t.elapsed();
-
-        let t = Instant::now();
-        if self.optimize {
-            PassManager::standard().run(&mut graph);
+        // Abstract interpretation runs on the post-mid-end graph (before
+        // lowering explodes it into scalar fabric), matching what `pmc
+        // analyze` inspects; schedule hazards are timed after Algorithm 2.
+        if analyze {
+            let t = Instant::now();
+            let _ = pm_analyze::analyze_graph(&graph);
+            timings.analyze = t.elapsed();
         }
-        if self.fuse {
-            pm_passes::AlgebraicCombination.run(&mut graph);
-        }
-        let midend = t.elapsed();
 
-        let key = ProgramKey::new(&graph, &self.targets);
-        if let Some(gate) = gate {
-            if !gate(&key) {
-                return Err(PolyMathError::Quarantined { fingerprint: key.graph });
+        let mut key = None;
+        if let Extras::Cache(gate) = extras {
+            let k = ProgramKey::new(&graph, &self.targets);
+            if gate.is_some_and(|gate| !gate(&k)) {
+                return Err(PolyMathError::Quarantined { fingerprint: k.graph });
             }
-        }
-        if let Some(program) = self.program_cache.lookup(&key) {
-            let timings = CompileTimings {
-                frontend,
-                build,
-                midend,
-                total: t0.elapsed(),
-                ..CompileTimings::default()
-            };
-            return Ok(CachedCompile { program, cache_hit: true, key, timings });
+            if let Some(program) = self.program_cache.lookup(&k) {
+                timings.total = t0.elapsed();
+                return Ok(Staged { program, cache: Some((k, true)), timings });
+            }
+            key = Some(k);
         }
 
         let cache_before = self.template_cache.stats();
         let t = Instant::now();
-        lower_budgeted(&mut graph, &self.targets, Some(&self.template_cache), budget)?;
-        let lower_d = t.elapsed();
-        let cache = self.template_cache.stats().since(&cache_before);
+        lower(&mut graph, &self.targets, Some(&self.template_cache), budget)?;
+        timings.lower = t.elapsed();
+        timings.cache = self.template_cache.stats().since(&cache_before);
 
         let t = Instant::now();
         pm_passes::ElideMarshalling.run(&mut graph);
         pm_passes::PruneUnusedInputs.run(&mut graph);
-        let post_lower = t.elapsed();
+        timings.post_lower = t.elapsed();
 
         let t = Instant::now();
-        let compiled =
-            Arc::new(compile_program_budgeted(Arc::new(graph), &self.targets, true, budget)?);
-        let compile = t.elapsed();
+        let program = Arc::new(compile_program(Arc::new(graph), &self.targets, budget)?);
+        timings.compile = t.elapsed();
 
-        self.program_cache.insert(key, Arc::clone(&compiled));
-        let timings = CompileTimings {
-            frontend,
-            build,
-            midend,
-            lower: lower_d,
-            post_lower,
-            compile,
-            cache,
-            total: t0.elapsed(),
-            ..CompileTimings::default()
-        };
-        Ok(CachedCompile { program: compiled, cache_hit: false, key, timings })
+        if let Some(k) = key {
+            self.program_cache.insert(k, Arc::clone(&program));
+        }
+        if analyze {
+            let t = Instant::now();
+            let _ = pm_analyze::analyze_schedule(&program, &self.targets);
+            timings.hazards = t.elapsed();
+        }
+        timings.total = t0.elapsed();
+        Ok(Staged { program, cache: key.map(|k| (k, false)), timings })
     }
+
+    /// Frontend → srDFG build → mid-end, timing each stage into `timings`;
+    /// `timed_passes` adds the per-pass split.
+    fn front(
+        &self,
+        source: &str,
+        bindings: &Bindings,
+        timings: &mut CompileTimings,
+        timed_passes: bool,
+    ) -> Result<SrDfg, PolyMathError> {
+        let t = Instant::now();
+        let (program, _) = pmlang::frontend(source)?;
+        timings.frontend = t.elapsed();
+
+        let t = Instant::now();
+        let mut graph = srdfg::build(&program, bindings)?;
+        timings.build = t.elapsed();
+
+        let t = Instant::now();
+        if self.optimize {
+            if timed_passes {
+                timings.passes = PassManager::standard().run_timed(&mut graph);
+            } else {
+                PassManager::standard().run(&mut graph);
+            }
+        }
+        if self.fuse {
+            pm_passes::AlgebraicCombination.run(&mut graph);
+        }
+        timings.midend = t.elapsed();
+        Ok(graph)
+    }
+}
+
+/// What one [`Compiler`] entry point adds to the shared staged pipeline.
+enum Extras<'a> {
+    /// Nothing: [`Compiler::compile`].
+    Plain,
+    /// Per-pass timings plus the graph and schedule analyses:
+    /// [`Compiler::compile_timed`].
+    Analyze,
+    /// The admission gate and the program cache between mid-end and
+    /// lowering: [`Compiler::compile_cached_checked`].
+    Cache(Option<&'a dyn Fn(&ProgramKey) -> bool>),
+}
+
+/// What [`Compiler::staged`] produced.
+struct Staged {
+    program: Arc<CompiledProgram>,
+    /// The content address and whether it hit, when the cache stage ran.
+    cache: Option<(ProgramKey, bool)>,
+    timings: CompileTimings,
 }
 
 /// Result of one [`Compiler::compile_cached`] invocation.

@@ -14,8 +14,9 @@
 //!   piece of shared state (template cache, program cache, pool ledgers)
 //!   is internally synchronized.
 //! * [`ServeServer`] — admission control: a bounded queue plus a
-//!   hand-rolled worker thread pool (matching the vendored `rayon`
-//!   stand-in idiom — no async runtime dependency). A full queue rejects
+//!   hand-rolled worker thread pool (no async runtime dependency). The
+//!   pool is the stack's only parallelism: requests are independent, and
+//!   each one compiles and simulates on its worker. A full queue rejects
 //!   with a typed `overloaded` error instead of blocking or panicking.
 //!   Workers drain requests in small batches to amortize lock traffic,
 //!   which also lets repeat programs within one batch hit the cache

@@ -28,9 +28,10 @@ use pm_accel::{
 };
 use pm_lower::{compile_program, fully_lowered, lower, CompiledProgram, FragmentKind, TargetMap};
 use pm_passes::{Pass, PassManager, PassStats};
-use srdfg::{Bindings, KExpr, Machine, NodeKind, SrDfg, Tensor};
+use srdfg::{Bindings, Budget, KExpr, Machine, NodeKind, SrDfg, Tensor};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// Differential-run knobs.
 #[derive(Debug, Clone)]
@@ -293,10 +294,11 @@ fn chaos_route(
     cfg: &DiffConfig,
     profile: ChaosProfile,
 ) -> Result<SrDfg, String> {
-    lower(&mut graph, targets).map_err(|e| e.to_string())?;
+    lower(&mut graph, targets, None, &Budget::unlimited()).map_err(|e| e.to_string())?;
     pm_passes::ElideMarshalling.run(&mut graph);
     pm_passes::PruneUnusedInputs.run(&mut graph);
-    let compiled = compile_program(&graph, targets).map_err(|e| format!("algorithm 2: {e}"))?;
+    let compiled = compile_program(Arc::new(graph), targets, &Budget::unlimited())
+        .map_err(|e| format!("algorithm 2: {e}"))?;
     let chaos = ChaosConfig::new(cfg.chaos_seed, profile).with_max_retries(cfg.max_retries);
     let outcome = chaos_soc()
         .run_chaos(&compiled, &HashMap::new(), &chaos, Some(targets))
@@ -310,14 +312,15 @@ fn chaos_route(
 /// Lowers a copy of `graph` for `targets`, checks structure, and returns
 /// the lowered graph for interpretation.
 fn lowered_route(mut graph: SrDfg, targets: &TargetMap) -> Result<SrDfg, String> {
-    lower(&mut graph, targets).map_err(|e| e.to_string())?;
+    lower(&mut graph, targets, None, &Budget::unlimited()).map_err(|e| e.to_string())?;
     pm_passes::ElideMarshalling.run(&mut graph);
     pm_passes::PruneUnusedInputs.run(&mut graph);
     srdfg::validate(&graph).map_err(|e| format!("validate: {e}"))?;
     if !fully_lowered(&graph, targets) {
         return Err("lowering converged with unsupported operations left".into());
     }
-    let compiled = compile_program(&graph, targets).map_err(|e| format!("algorithm 2: {e}"))?;
+    let compiled = compile_program(Arc::new(graph), targets, &Budget::unlimited())
+        .map_err(|e| format!("algorithm 2: {e}"))?;
     check_partitions(&compiled, targets)?;
     if let Some(f) = pm_analyze::analyze_schedule(&compiled, targets)
         .iter()
@@ -325,7 +328,7 @@ fn lowered_route(mut graph: SrDfg, targets: &TargetMap) -> Result<SrDfg, String>
     {
         return Err(format!("schedule hazard: {f}"));
     }
-    Ok(graph)
+    Ok(Arc::unwrap_or_clone(compiled.graph))
 }
 
 /// Differentially checks one program on one input set. Never panics:

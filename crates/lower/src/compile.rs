@@ -163,78 +163,23 @@ impl CompiledProgram {
     }
 }
 
-/// Runs Algorithm 2 over a lowered graph, building the per-target
-/// partitions in parallel when more than one target received nodes.
+/// Runs Algorithm 2 over a lowered graph. The compiled artifact aliases
+/// the caller's [`Arc`]; the graph is never cloned.
 ///
-/// Each partition is produced by the same pure builder the serial path
-/// uses over the same precomputed topological order, so the result is
-/// byte-identical to [`compile_program_serial`] regardless of thread
-/// count.
+/// An expired `budget` turns the request away at entry (one fuel unit per
+/// graph node) before any fragment is built.
 ///
 /// # Errors
 ///
 /// Returns a [`LowerError`] if the graph still contains operations its
-/// targets do not support (run [`crate::lower::lower`] first).
-pub fn compile_program(graph: &SrDfg, targets: &TargetMap) -> Result<CompiledProgram, LowerError> {
-    compile_partitions(&Arc::new(graph.clone()), targets, true, &Budget::unlimited())
-}
-
-/// [`compile_program`] with parallelism disabled (one fragment chunk at a
-/// time). Exists so tests and benchmarks can assert the determinism
-/// guarantee; results are always identical to the parallel path.
-pub fn compile_program_serial(
-    graph: &SrDfg,
-    targets: &TargetMap,
-) -> Result<CompiledProgram, LowerError> {
-    compile_partitions(&Arc::new(graph.clone()), targets, false, &Budget::unlimited())
-}
-
-/// [`compile_program`] over an already-shared graph: no graph clone at
-/// all — the compiled artifact aliases the caller's [`Arc`]. This is the
-/// entry the [`polymath` compiler] driver uses after lowering.
-pub fn compile_program_shared(
+/// targets do not support (run [`crate::lower::lower`] first), or,
+/// carrying [`LowerError::budget`], on cancellation.
+pub fn compile_program(
     graph: Arc<SrDfg>,
     targets: &TargetMap,
-    parallel: bool,
-) -> Result<CompiledProgram, LowerError> {
-    compile_partitions(&graph, targets, parallel, &Budget::unlimited())
-}
-
-/// [`compile_program_shared`] under a cooperative-cancellation
-/// [`Budget`]: an expired request is turned away at entry (one fuel unit
-/// per graph node) before any fragment is built, with a budget-tagged
-/// [`LowerError`].
-///
-/// # Errors
-///
-/// Everything [`compile_program_shared`] returns, plus a [`LowerError`]
-/// carrying [`LowerError::budget`] on cancellation.
-pub fn compile_program_budgeted(
-    graph: Arc<SrDfg>,
-    targets: &TargetMap,
-    parallel: bool,
     budget: &Budget,
 ) -> Result<CompiledProgram, LowerError> {
-    compile_partitions(&graph, targets, parallel, budget)
-}
-
-/// One size-binned slice of a partition's node list — the unit of
-/// parallelism. Fragments of a node are a pure function of the shared
-/// pre-pass plan, so chunk boundaries (and thus thread count) cannot
-/// change the concatenated result.
-struct Chunk {
-    ti: usize,
-    lo: usize,
-    hi: usize,
-}
-
-fn compile_partitions(
-    graph: &Arc<SrDfg>,
-    targets: &TargetMap,
-    parallel: bool,
-    budget: &Budget,
-) -> Result<CompiledProgram, LowerError> {
-    if !fully_lowered(graph, targets) {
+    if !fully_lowered(&graph, targets) {
         return Err(LowerError::msg("graph contains unsupported operations; lower it first"));
     }
     // One fuel unit per node: Algorithm 2 is a single sweep, so the entry
@@ -254,6 +199,7 @@ fn compile_partitions(
     // can host two accelerators under overrides).
     let mut tlist: Vec<(&str, Option<Domain>)> = Vec::new();
     let mut assign: Vec<u32> = vec![u32::MAX; n_nodes];
+    let mut n_of: Vec<usize> = Vec::new();
     for &id in &order {
         let node = graph.node(id);
         let name = targets.target_for(node, graph.domain).name.as_str();
@@ -261,10 +207,12 @@ fn compile_partitions(
             Some(i) => i,
             None => {
                 tlist.push((name, node.domain.or(graph.domain)));
+                n_of.push(0);
                 tlist.len() - 1
             }
         };
         assign[id.0 as usize] = ti as u32;
+        n_of[ti] += 1;
     }
     // The host target's index (host partitions never pay DMA); boundary
     // inputs are sourced from host memory. u32::MAX when the host received
@@ -278,92 +226,41 @@ fn compile_partitions(
         is_boundary_out[e.0 as usize] = true;
     }
 
-    // Pre-pass: one serial sweep computes, per node, the DMA loads that
-    // precede its compute fragment (a value is loaded once per destination
-    // accelerator, by its first consumer there — this ordering decision is
-    // what forced the old builder to re-walk the whole graph per target)
-    // and the stores that follow it, plus a fragment-count weight for
-    // chunk binning.
-    let mut pre_loads: Vec<Vec<EdgeId>> = vec![Vec::new(); n_nodes];
-    let mut post_stores: Vec<Vec<EdgeId>> = vec![Vec::new(); n_nodes];
-    let mut node_w: Vec<u32> = vec![0; n_nodes];
+    // Reserve one compute fragment per node up front: a single-accelerator
+    // program puts every node in one partition, and doubling growth would
+    // re-copy the whole fragment stream several times over.
+    let mut parts: Vec<AccProgram> = tlist
+        .iter()
+        .zip(n_of)
+        .map(|(&(t, domain), n)| AccProgram {
+            target: t.to_string(),
+            domain,
+            fragments: Vec::with_capacity(n),
+        })
+        .collect();
+
+    // One sweep in topological order appends each node's fragments to its
+    // partition: the DMA loads that precede its compute fragment (a value
+    // is loaded once per destination accelerator, by its first consumer
+    // there), the compute fragment, and the stores that follow it.
+    let arg_info = |e: EdgeId| -> ArgInfo { ArgInfo { meta: graph.edge(e).meta.clone(), edge: e } };
+    let load_op: Ident = "load".into();
+    let store_op: Ident = "store".into();
     let mut loaded = vec![false; tlist.len() * n_edges];
-    let mut weight: Vec<u64> = vec![0; tlist.len()];
-    let mut nodes_of: Vec<Vec<NodeId>> = vec![Vec::new(); tlist.len()];
     for &id in &order {
-        let ni = id.0 as usize;
-        let ti = assign[ni];
+        let ti = assign[id.0 as usize];
         let node = graph.node(id);
-        let mut w = (1 + node.inputs.len() + node.outputs.len()) as u32;
+        let fragments = &mut parts[ti as usize].fragments;
+        // t_load for operands produced on another accelerator (or fed by
+        // the host through the graph boundary).
         for &e in &node.inputs {
             let src_ti = match graph.edge(e).producer {
                 Some((p, _)) => assign[p.0 as usize],
                 None => host_ti, // boundary input: host memory
             };
-            if src_ti != ti {
-                let slot = ti as usize * n_edges + e.0 as usize;
-                if !loaded[slot] {
-                    loaded[slot] = true;
-                    pre_loads[ni].push(e);
-                    w += 2;
-                }
-            }
-        }
-        for &e in &node.outputs {
-            let edge = graph.edge(e);
-            let crosses = edge.consumers.iter().any(|&(c, _)| assign[c.0 as usize] != ti)
-                || (is_boundary_out[e.0 as usize] && ti != host_ti);
-            if crosses {
-                post_stores[ni].push(e);
-                w += 2;
-            }
-        }
-        node_w[ni] = w;
-        weight[ti as usize] += u64::from(w);
-        nodes_of[ti as usize].push(id);
-    }
-
-    // Size-binned chunks: split each partition's node list so every chunk
-    // carries roughly equal fragment weight. This moves the rayon grain
-    // from whole-partitions (useless for single-accelerator programs) to
-    // fragments, while a floor keeps tiny graphs in one chunk.
-    let threads = rayon::current_num_threads().max(1);
-    let mut chunks: Vec<Chunk> = Vec::new();
-    for (ti, nodes) in nodes_of.iter().enumerate() {
-        let per_chunk = (weight[ti] / (threads as u64 * 4)).max(2048);
-        let mut lo = 0usize;
-        let mut acc = 0u64;
-        for (i, &id) in nodes.iter().enumerate() {
-            acc += u64::from(node_w[id.0 as usize]);
-            if acc >= per_chunk {
-                chunks.push(Chunk { ti, lo, hi: i + 1 });
-                lo = i + 1;
-                acc = 0;
-            }
-        }
-        if lo < nodes.len() {
-            chunks.push(Chunk { ti, lo, hi: nodes.len() });
-        }
-    }
-
-    let arg_info = |e: EdgeId| -> ArgInfo { ArgInfo { meta: graph.edge(e).meta.clone(), edge: e } };
-    let load_op: Ident = "load".into();
-    let store_op: Ident = "store".into();
-    let build_chunk = |c: &Chunk| -> Vec<Fragment> {
-        let cap: usize = nodes_of[c.ti][c.lo..c.hi]
-            .iter()
-            .map(|id| {
-                let ni = id.0 as usize;
-                1 + pre_loads[ni].len() + post_stores[ni].len()
-            })
-            .sum();
-        let mut fragments = Vec::with_capacity(cap);
-        for &id in &nodes_of[c.ti][c.lo..c.hi] {
-            let ni = id.0 as usize;
-            let node = graph.node(id);
-            // t_load for operands produced on another accelerator (or fed
-            // by the host through the graph boundary).
-            for &e in &pre_loads[ni] {
+            let slot = ti as usize * n_edges + e.0 as usize;
+            if src_ti != ti && !loaded[slot] {
+                loaded[slot] = true;
                 fragments.push(Fragment {
                     op: load_op.clone(),
                     kind: FragmentKind::Load,
@@ -373,18 +270,23 @@ fn compile_partitions(
                     ops: 0,
                 });
             }
-            // t(srdfg, n): the compute fragment.
-            fragments.push(Fragment {
-                op: node.name.clone(),
-                kind: FragmentKind::Compute,
-                node: Some(id),
-                inputs: node.inputs.iter().map(|&e| arg_info(e)).collect(),
-                outputs: node.outputs.iter().map(|&e| arg_info(e)).collect(),
-                ops: srdfg::graph::node_op_count(node),
-            });
-            // t_store for results consumed on another accelerator (or
-            // leaving through the graph boundary toward the host).
-            for &e in &post_stores[ni] {
+        }
+        // t(srdfg, n): the compute fragment.
+        fragments.push(Fragment {
+            op: node.name.clone(),
+            kind: FragmentKind::Compute,
+            node: Some(id),
+            inputs: node.inputs.iter().map(|&e| arg_info(e)).collect(),
+            outputs: node.outputs.iter().map(|&e| arg_info(e)).collect(),
+            ops: srdfg::graph::node_op_count(node),
+        });
+        // t_store for results consumed on another accelerator (or leaving
+        // through the graph boundary toward the host).
+        for &e in &node.outputs {
+            let edge = graph.edge(e);
+            let crosses = edge.consumers.iter().any(|&(c, _)| assign[c.0 as usize] != ti)
+                || (is_boundary_out[e.0 as usize] && ti != host_ti);
+            if crosses {
                 fragments.push(Fragment {
                     op: store_op.clone(),
                     kind: FragmentKind::Store,
@@ -395,35 +297,22 @@ fn compile_partitions(
                 });
             }
         }
-        fragments
-    };
-
-    let chunk_frags: Vec<Vec<Fragment>> = if parallel && chunks.len() > 1 {
-        use rayon::prelude::*;
-        chunks.par_iter().map(build_chunk).collect()
-    } else {
-        chunks.iter().map(build_chunk).collect()
-    };
-
-    let mut parts: Vec<AccProgram> = tlist
-        .iter()
-        .map(|&(t, domain)| AccProgram { target: t.to_string(), domain, fragments: Vec::new() })
-        .collect();
-    // Exact-capacity reserve: a single-accelerator program concatenates
-    // every chunk into one partition, and doubling-growth would re-copy
-    // the whole fragment stream several times over.
-    let mut part_len = vec![0usize; parts.len()];
-    for (c, frags) in chunks.iter().zip(&chunk_frags) {
-        part_len[c.ti] += frags.len();
-    }
-    for (p, n) in parts.iter_mut().zip(part_len) {
-        p.fragments.reserve_exact(n);
-    }
-    for (c, frags) in chunks.iter().zip(chunk_frags) {
-        parts[c.ti].fragments.extend(frags);
     }
     parts.sort_by_key(|p| (p.domain, p.target.clone()));
-    Ok(CompiledProgram { graph: Arc::clone(graph), partitions: parts })
+    Ok(CompiledProgram { graph, partitions: parts })
+}
+
+/// [`compile_program`] under its former name; `parallel` is ignored. It
+/// exists only because the frozen benchmark replica
+/// (`perfbench/src/replay.rs`) calls it.
+#[doc(hidden)]
+pub fn compile_program_budgeted(
+    graph: Arc<SrDfg>,
+    targets: &TargetMap,
+    _parallel: bool,
+    budget: &Budget,
+) -> Result<CompiledProgram, LowerError> {
+    compile_program(graph, targets, budget)
 }
 
 #[cfg(test)]
@@ -469,8 +358,8 @@ mod tests {
     fn partitions_by_domain_with_dma() {
         let mut g = two_domain_graph();
         let t = targets();
-        lower(&mut g, &t).unwrap();
-        let compiled = compile_program(&g, &t).unwrap();
+        lower(&mut g, &t, None, &Budget::unlimited()).unwrap();
+        let compiled = compile_program(Arc::new(g), &t, &Budget::unlimited()).unwrap();
 
         let dsp = compiled.partition(Some(Domain::Dsp)).expect("dsp partition");
         let da = compiled.partition(Some(Domain::DataAnalytics)).expect("da partition");
@@ -493,7 +382,7 @@ mod tests {
     fn rejects_unlowered_graph() {
         let g = two_domain_graph();
         let t = targets();
-        assert!(compile_program(&g, &t).is_err());
+        assert!(compile_program(Arc::new(g), &t, &Budget::unlimited()).is_err());
     }
 
     #[test]
@@ -505,7 +394,7 @@ mod tests {
         let g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
         let host = AcceleratorSpec::general_purpose("CPU", Domain::DataAnalytics);
         let t = TargetMap::host_only(host);
-        let compiled = compile_program(&g, &t).unwrap();
+        let compiled = compile_program(Arc::new(g), &t, &Budget::unlimited()).unwrap();
         assert_eq!(compiled.partitions.len(), 1);
         assert_eq!(compiled.partitions[0].target, "CPU");
         // Host partition needs no DMA fragments.
@@ -525,7 +414,7 @@ mod tests {
         let g = srdfg::build(&prog, &srdfg::Bindings::default()).unwrap();
         let host = AcceleratorSpec::general_purpose("CPU", Domain::DataAnalytics);
         let t = TargetMap::host_only(host);
-        let compiled = compile_program(&g, &t).unwrap();
+        let compiled = compile_program(Arc::new(g), &t, &Budget::unlimited()).unwrap();
         let frags = &compiled.partitions[0].fragments;
         let add = frags.iter().find(|f| f.op == "map.add").expect("add fragment");
         assert!(add.inputs.iter().any(|a| a.modifier() == Modifier::State && a.shape() == [4]));

@@ -15,10 +15,11 @@
 //! the original, which is exactly what lets the fuzzer hold degraded runs
 //! to the same oracle.
 
-use crate::compile::{compile_program_shared, CompiledProgram};
-use crate::lower::{lower_with, LowerError};
+use crate::compile::{compile_program, CompiledProgram};
+use crate::lower::{lower, LowerError};
 use crate::spec::TargetMap;
 use srdfg::template::TemplateCache;
+use srdfg::Budget;
 use std::sync::Arc;
 
 /// Re-lowers `compiled` with every target named in `down` removed from
@@ -28,28 +29,19 @@ use std::sync::Arc;
 /// Passing the host's own name in `down` has no effect: the host is the
 /// fallback of last resort and cannot be removed.
 ///
+/// `cache` is usually the compiler's [`TemplateCache`]: when the reduced
+/// map forces further refinement (a non-general-purpose target absorbing
+/// the downed target's nodes at a finer granularity), those expansions
+/// hit the templates the original compilation populated instead of
+/// re-expanding under fault-recovery latency pressure. Cached and
+/// uncached runs produce byte-identical graphs.
+///
 /// # Errors
 ///
 /// Returns a [`LowerError`] if re-lowering or re-compilation fails — which
 /// can only happen if the reduced map still contains a non-general-purpose
 /// target that cannot absorb the orphaned nodes.
 pub fn relower_without(
-    compiled: &CompiledProgram,
-    targets: &TargetMap,
-    down: &[String],
-) -> Result<CompiledProgram, LowerError> {
-    relower_without_cached(compiled, targets, down, None)
-}
-
-/// [`relower_without`] with the compiler's [`TemplateCache`] threaded
-/// through: when the reduced target map forces any further refinement
-/// (a non-general-purpose target absorbing the downed target's nodes at
-/// a finer granularity), those expansions hit the same templates the
-/// original compilation populated instead of re-expanding under fault-
-/// recovery latency pressure. The cached and uncached paths produce
-/// byte-identical graphs, so the degraded run still holds to the same
-/// oracle.
-pub fn relower_without_cached(
     compiled: &CompiledProgram,
     targets: &TargetMap,
     down: &[String],
@@ -72,15 +64,14 @@ pub fn relower_without_cached(
             graph.node_mut(id).target = None;
         }
     }
-    lower_with(&mut graph, &reduced, cache)?;
-    compile_program_shared(Arc::new(graph), &reduced, true)
+    let unlimited = Budget::unlimited();
+    lower(&mut graph, &reduced, cache, &unlimited)?;
+    compile_program(Arc::new(graph), &reduced, &unlimited)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile_program;
-    use crate::lower::lower;
     use crate::spec::AcceleratorSpec;
     use pmlang::Domain;
     use std::collections::HashMap;
@@ -120,8 +111,8 @@ mod tests {
                 "read", "write",
             ],
         ));
-        lower(&mut g, &targets).unwrap();
-        (compile_program(&g, &targets).unwrap(), targets)
+        lower(&mut g, &targets, None, &Budget::unlimited()).unwrap();
+        (compile_program(Arc::new(g), &targets, &Budget::unlimited()).unwrap(), targets)
     }
 
     fn execute(compiled: &CompiledProgram) -> HashMap<String, srdfg::Tensor> {
@@ -141,7 +132,7 @@ mod tests {
     fn relower_moves_downed_target_to_host() {
         let (compiled, targets) = two_domain_compiled();
         assert!(compiled.partitions.iter().any(|p| p.target == "DECO"));
-        let re = relower_without(&compiled, &targets, &["DECO".to_string()]).unwrap();
+        let re = relower_without(&compiled, &targets, &["DECO".to_string()], None).unwrap();
         assert!(
             !re.partitions.iter().any(|p| p.target == "DECO"),
             "downed target must receive no fragments"
@@ -154,7 +145,7 @@ mod tests {
     fn relower_all_targets_is_host_only() {
         let (compiled, targets) = two_domain_compiled();
         let down = vec!["DECO".to_string(), "TABLA".to_string()];
-        let re = relower_without(&compiled, &targets, &down).unwrap();
+        let re = relower_without(&compiled, &targets, &down, None).unwrap();
         for p in &re.partitions {
             assert_eq!(p.target, "CPU", "everything must land on the host");
         }
@@ -164,7 +155,7 @@ mod tests {
     fn relower_preserves_functional_results_exactly() {
         let (compiled, targets) = two_domain_compiled();
         let before = execute(&compiled);
-        let re = relower_without(&compiled, &targets, &["DECO".to_string()]).unwrap();
+        let re = relower_without(&compiled, &targets, &["DECO".to_string()], None).unwrap();
         let after = execute(&re);
         assert_eq!(before.len(), after.len());
         for (name, t) in &before {
@@ -175,15 +166,15 @@ mod tests {
     #[test]
     fn host_cannot_be_taken_down() {
         let (compiled, targets) = two_domain_compiled();
-        let re = relower_without(&compiled, &targets, &["CPU".to_string()]).unwrap();
+        let re = relower_without(&compiled, &targets, &["CPU".to_string()], None).unwrap();
         assert_eq!(re.partitions.len(), compiled.partitions.len());
     }
 
     #[test]
     fn relower_is_deterministic() {
         let (compiled, targets) = two_domain_compiled();
-        let a = relower_without(&compiled, &targets, &["TABLA".to_string()]).unwrap();
-        let b = relower_without(&compiled, &targets, &["TABLA".to_string()]).unwrap();
+        let a = relower_without(&compiled, &targets, &["TABLA".to_string()], None).unwrap();
+        let b = relower_without(&compiled, &targets, &["TABLA".to_string()], None).unwrap();
         assert_eq!(a.partitions, b.partitions);
     }
 }

@@ -15,11 +15,19 @@
 //! Target capabilities are declared with [`AcceleratorSpec`] (`Ot`) and
 //! collected in a [`TargetMap`] (`Om`).
 //!
+//! Each stage has one entry point, and each runs on the calling thread:
+//! [`fn@lower`], [`compile_program`], and the fault-recovery re-lowering
+//! [`relower_without`]. The first two take a [`srdfg::Budget`] (pass
+//! `Budget::unlimited()` outside a request). Requests are independent,
+//! so parallelism lives once, in the serve worker pool, not here.
+//!
 //! ## Example
 //!
 //! ```
 //! use pm_lower::{lower, compile_program, AcceleratorSpec, TargetMap};
 //! use pmlang::Domain;
+//! use srdfg::Budget;
+//! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let (program, _) = pmlang::frontend(
@@ -31,8 +39,9 @@
 //! let mut graph = srdfg::build(&program, &srdfg::Bindings::default())?;
 //! let host = AcceleratorSpec::general_purpose("CPU", Domain::DataAnalytics);
 //! let targets = TargetMap::host_only(host);
-//! lower(&mut graph, &targets)?;
-//! let compiled = compile_program(&graph, &targets)?;
+//! let unlimited = Budget::unlimited();
+//! lower(&mut graph, &targets, None, &unlimited)?;
+//! let compiled = compile_program(Arc::new(graph), &targets, &unlimited)?;
 //! assert_eq!(compiled.partitions.len(), 1);
 //! # Ok(())
 //! # }
@@ -46,11 +55,12 @@ pub mod lower;
 pub mod progcache;
 pub mod spec;
 
-pub use compile::{
-    compile_program, compile_program_budgeted, compile_program_serial, compile_program_shared,
-    AccProgram, ArgInfo, CompiledProgram, Fragment, FragmentKind,
-};
-pub use fallback::{relower_without, relower_without_cached};
-pub use lower::{fully_lowered, lower, lower_budgeted, lower_with, LowerError};
+#[doc(hidden)]
+pub use compile::compile_program_budgeted;
+pub use compile::{compile_program, AccProgram, ArgInfo, CompiledProgram, Fragment, FragmentKind};
+pub use fallback::relower_without;
+#[doc(hidden)]
+pub use lower::lower_budgeted;
+pub use lower::{fully_lowered, lower, LowerError};
 pub use progcache::{ProgramCache, ProgramCacheStats, ProgramKey};
 pub use spec::{AcceleratorSpec, SupportMemo, TargetMap};

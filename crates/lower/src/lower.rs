@@ -24,6 +24,7 @@ use srdfg::budget::{Budget, BudgetExceeded};
 use srdfg::expand::{refine_for_splice, scalar_expansion_eligible, RefineError};
 use srdfg::template::{TemplateCache, TemplateKey};
 use srdfg::{Consed, EdgeMeta, FxBuildHasher, SrDfg};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -70,27 +71,11 @@ impl From<BudgetExceeded> for LowerError {
     }
 }
 
-/// Lowers `graph` in place until every node's operation is supported by
-/// its domain's target in `targets` (paper Algorithm 1, iterated because a
-/// refinement may introduce nodes that need further refinement).
-///
-/// # Errors
-///
-/// Returns a [`LowerError`] when an unsupported node cannot be refined
-/// (already at the finest granularity, too large to expand, or
-/// data-dependent).
-pub fn lower(graph: &mut SrDfg, targets: &TargetMap) -> Result<(), LowerError> {
-    // Even without a caller-provided cache, a transient one dedups the
-    // repeated expansions *within* this program (an FFT expands one
-    // butterfly fabric per stage; they are structurally identical).
-    lower_with(graph, targets, Some(&TemplateCache::new()))
-}
-
 /// How one pending refinement will be instantiated this round.
 enum Plan {
-    /// Expand live; for scalar expansions (`Some(key)`) the result is
-    /// also stored in the cache as a template.
-    Expand(Option<TemplateKey>),
+    /// A live expansion; for scalar expansions (`Some(key)`) the result
+    /// is also stored in the cache as a template.
+    Expand(Option<TemplateKey>, Result<SrDfg, RefineError>),
     /// A cached template: instantiation is pure id-remapping.
     Hit(Arc<SrDfg>),
     /// Same key as an earlier `Expand` in this round — resolved from the
@@ -98,32 +83,29 @@ enum Plan {
     Deferred(TemplateKey),
 }
 
-/// [`lower`] with an explicit [`TemplateCache`] policy: `Some` threads a
-/// (possibly shared, cross-program) cache through every scalar expansion;
-/// `None` disables caching entirely. Both paths route refinements through
-/// the same canonical-expansion + [`SrDfg::splice_template`] mechanism,
-/// so their lowered graphs are byte-identical — the cache only decides
-/// whether the expansion work is skipped.
-pub fn lower_with(
-    graph: &mut SrDfg,
-    targets: &TargetMap,
-    cache: Option<&TemplateCache>,
-) -> Result<(), LowerError> {
-    lower_budgeted(graph, targets, cache, &Budget::unlimited())
-}
-
-/// [`lower_with`] under a cooperative-cancellation [`Budget`]: the splice
-/// loop charges one fuel unit per pending refinement at every round
-/// boundary and unwinds with a budget-tagged [`LowerError`] the moment
-/// the request's deadline or fuel runs out. Charges happen only at round
-/// granularity — an in-flight round always completes, no thread is ever
-/// killed — so a cancelled lowering leaves the template cache coherent.
+/// Lowers `graph` in place until every node's operation is supported by
+/// its domain's target in `targets` (paper Algorithm 1, iterated because a
+/// refinement may introduce nodes that need further refinement).
+///
+/// `cache` threads a (possibly shared, cross-program) [`TemplateCache`]
+/// through every scalar expansion; `None` disables caching. Both route
+/// refinements through the same canonical-expansion +
+/// [`SrDfg::splice_template`] mechanism, so their lowered graphs are
+/// byte-identical — the cache only decides whether expansion work is
+/// skipped.
+///
+/// The splice loop charges `budget` one fuel unit per pending refinement
+/// at every round boundary and unwinds with a budget-tagged
+/// [`LowerError`] the moment the request's deadline or fuel runs out. A
+/// started round always completes, so a cancelled lowering leaves the
+/// template cache coherent.
 ///
 /// # Errors
 ///
-/// Everything [`lower_with`] returns, plus a [`LowerError`] carrying
-/// [`LowerError::budget`] on cancellation.
-pub fn lower_budgeted(
+/// Returns a [`LowerError`] when an unsupported node cannot be refined
+/// (already at the finest granularity, too large to expand, or
+/// data-dependent), or, carrying [`LowerError::budget`], on cancellation.
+pub fn lower(
     graph: &mut SrDfg,
     targets: &TargetMap,
     cache: Option<&TemplateCache>,
@@ -141,11 +123,11 @@ pub fn lower_budgeted(
     // iteration bound is a defensive backstop.
     for _ in 0..64 {
         let slots_before = graph.node_slots() as u32;
-        // Collect this round's unsupported nodes, then refine them all at
-        // once (in parallel on multi-core hosts). Batching is equivalent to
-        // the interleaved serial loop: `refine` reads only the node and its
-        // edge metadata, and `splice` removes no node but the one it
-        // replaces, so no pending refinement can observe another's splice.
+        // Collect this round's unsupported nodes, then refine them all
+        // before splicing any. Batching is equivalent to the interleaved
+        // loop: `refine` reads only the node and its edge metadata, and
+        // `splice` removes no node but the one it replaces, so no pending
+        // refinement can observe another's splice.
         let mut pending = Vec::new();
         let mut labels = Vec::new();
         for id in graph.node_ids().filter(|id| id.0 >= scan_from).collect::<Vec<_>>() {
@@ -169,85 +151,65 @@ pub fn lower_budgeted(
         // Plan each job against the cache: template hits skip expansion
         // entirely, and only the *first* job of each distinct key expands
         // (identical siblings defer to its inserted template).
+        let expand = |i: usize, key: Option<TemplateKey>| {
+            let (id, opts) = pending[i];
+            Plan::Expand(key, refine_for_splice(graph, id, &opts))
+        };
         let mut plans: Vec<Plan> = Vec::with_capacity(pending.len());
-        if let Some(cache) = cache {
-            let mut first_of_fp: HashMap<u64, usize, FxBuildHasher> = HashMap::default();
-            for (i, &(id, opts)) in pending.iter().enumerate() {
-                let node = graph.node(id);
-                if !scalar_expansion_eligible(node) {
-                    // Not template-shaped (e.g. component flattening):
-                    // the cache is never consulted, which a warm-run
-                    // stats line reports as `bypassed` rather than as a
-                    // miss.
-                    cache.record_bypass();
-                    plans.push(Plan::Expand(None));
-                    continue;
-                }
-                let in_metas: Vec<Consed<EdgeMeta>> =
-                    node.inputs.iter().map(|&e| graph.edge(e).meta.clone()).collect();
-                let out_metas: Vec<Consed<EdgeMeta>> =
-                    node.outputs.iter().map(|&e| graph.edge(e).meta.clone()).collect();
-                let key = TemplateKey::new(node, &in_metas, &out_metas, &opts);
-                if let Some(t) = cache.lookup(&key) {
-                    plans.push(Plan::Hit(t));
-                    continue;
-                }
-                match first_of_fp.entry(key.fingerprint()) {
-                    std::collections::hash_map::Entry::Occupied(prev) if matches!(&plans[*prev.get()], Plan::Expand(Some(k)) if *k == key) =>
-                    {
-                        plans.push(Plan::Deferred(key));
-                    }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(i);
-                        plans.push(Plan::Expand(Some(key)));
-                    }
-                    // Fingerprint collision with a different key: expand
-                    // live without deduplication.
-                    std::collections::hash_map::Entry::Occupied(_) => {
-                        plans.push(Plan::Expand(Some(key)));
-                    }
-                }
+        let mut first_of_fp: HashMap<u64, usize, FxBuildHasher> = HashMap::default();
+        for (i, &(id, opts)) in pending.iter().enumerate() {
+            let Some(cache) = cache else {
+                plans.push(expand(i, None));
+                continue;
+            };
+            let node = graph.node(id);
+            if !scalar_expansion_eligible(node) {
+                // Not template-shaped (e.g. component flattening): the
+                // cache is never consulted, which a warm-run stats line
+                // reports as `bypassed` rather than as a miss.
+                cache.record_bypass();
+                plans.push(expand(i, None));
+                continue;
             }
-        } else {
-            plans = pending.iter().map(|_| Plan::Expand(None)).collect();
-        }
-
-        // Expand the non-deduplicated jobs in parallel.
-        use rayon::prelude::*;
-        let expand_jobs: Vec<usize> = plans
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p, Plan::Expand(_)))
-            .map(|(i, _)| i)
-            .collect();
-        let mut expanded: Vec<Option<Result<SrDfg, RefineError>>> =
-            (0..pending.len()).map(|_| None).collect();
-        for (i, sub) in expand_jobs
-            .par_iter()
-            .map(|&i| (i, refine_for_splice(graph, pending[i].0, &pending[i].1)))
-            .collect::<Vec<_>>()
-        {
-            expanded[i] = Some(sub);
+            let in_metas: Vec<Consed<EdgeMeta>> =
+                node.inputs.iter().map(|&e| graph.edge(e).meta.clone()).collect();
+            let out_metas: Vec<Consed<EdgeMeta>> =
+                node.outputs.iter().map(|&e| graph.edge(e).meta.clone()).collect();
+            let key = TemplateKey::new(node, &in_metas, &out_metas, &opts);
+            if let Some(t) = cache.lookup(&key) {
+                plans.push(Plan::Hit(t));
+                continue;
+            }
+            match first_of_fp.entry(key.fingerprint()) {
+                Entry::Occupied(prev) if matches!(&plans[*prev.get()], Plan::Expand(Some(k), _) if *k == key) =>
+                {
+                    plans.push(Plan::Deferred(key));
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(i);
+                    plans.push(expand(i, Some(key)));
+                }
+                // Fingerprint collision with a different key: expand
+                // live without deduplication.
+                Entry::Occupied(_) => plans.push(expand(i, Some(key))),
+            }
         }
 
         // Reserve the whole round's growth up front: each splice appends
         // its sub-graph's nodes/edges, and letting the tables double
         // mid-round re-copies the (multi-megabyte) graph repeatedly.
         let (mut add_nodes, mut add_edges) = (0usize, 0usize);
-        for (i, plan) in plans.iter().enumerate() {
+        for plan in &plans {
             let (n, e) = match plan {
-                Plan::Expand(_) => match &expanded[i] {
-                    Some(Ok(sub)) => (sub.node_slots(), sub.edge_count()),
-                    _ => (0, 0),
-                },
+                Plan::Expand(_, Ok(sub)) => (sub.node_slots(), sub.edge_count()),
                 Plan::Hit(t) => (t.node_slots(), t.edge_count()),
-                Plan::Deferred(_) => (0, 0),
+                Plan::Expand(_, Err(_)) | Plan::Deferred(_) => (0, 0),
             };
             add_nodes += n;
             add_edges += e;
         }
         graph.reserve(add_nodes, add_edges);
-        // Splice serially, in collection (deterministic id) order.
+        // Splice in collection (deterministic id) order.
         for (i, plan) in plans.into_iter().enumerate() {
             let (id, opts) = pending[i];
             let refine_err = |e: RefineError| {
@@ -258,8 +220,8 @@ pub fn lower_budgeted(
                 ))
             };
             match plan {
-                Plan::Expand(key) => {
-                    let sub = expanded[i].take().expect("planned").map_err(refine_err)?;
+                Plan::Expand(key, sub) => {
+                    let sub = sub.map_err(refine_err)?;
                     match (cache, key) {
                         (Some(cache), Some(key)) => {
                             let template = Arc::new(sub);
@@ -290,6 +252,18 @@ pub fn lower_budgeted(
         }
     }
     Err(LowerError::msg("lowering did not converge"))
+}
+
+/// [`lower`] under its former name. It exists only because the frozen
+/// benchmark replica (`perfbench/src/replay.rs`) calls it.
+#[doc(hidden)]
+pub fn lower_budgeted(
+    graph: &mut SrDfg,
+    targets: &TargetMap,
+    cache: Option<&TemplateCache>,
+    budget: &Budget,
+) -> Result<(), LowerError> {
+    lower(graph, targets, cache, budget)
 }
 
 /// Stamps per-component target overrides onto component nodes (and,
@@ -382,7 +356,7 @@ mod tests {
         let host = AcceleratorSpec::general_purpose("CPU", Domain::DataAnalytics);
         let mut targets = TargetMap::host_only(host);
         targets.set(AcceleratorSpec::new("GROUPY", Domain::DataAnalytics, ["matvec"]));
-        lower(&mut g, &targets).unwrap();
+        lower(&mut g, &targets, None, &Budget::unlimited()).unwrap();
         assert!(fully_lowered(&g, &targets));
         assert!(g.iter_nodes().all(|(_, n)| !matches!(n.kind, NodeKind::Component(_))));
         let out = Machine::new(g).invoke(&feeds()).unwrap();
@@ -400,7 +374,7 @@ mod tests {
             Domain::DataAnalytics,
             ["add", "sub", "mul", "div", "const", "unpack", "pack"],
         ));
-        lower(&mut g, &targets).unwrap();
+        lower(&mut g, &targets, None, &Budget::unlimited()).unwrap();
         assert!(fully_lowered(&g, &targets));
         // All compute is now scalar nodes.
         let scalar = g.iter_nodes().filter(|(_, n)| matches!(n.kind, NodeKind::Scalar(_))).count();
@@ -421,7 +395,7 @@ mod tests {
             Domain::DataAnalytics,
             ["sum", "map.mul", "map"],
         ));
-        lower(&mut g, &targets).unwrap();
+        lower(&mut g, &targets, None, &Budget::unlimited()).unwrap();
         assert!(fully_lowered(&g, &targets));
         let kinds: Vec<_> = g
             .iter_nodes()
@@ -448,7 +422,7 @@ mod tests {
             Domain::DataAnalytics,
             ["add", "mul", "unpack", "pack", "const"],
         ));
-        let err = lower(&mut g, &targets).unwrap_err();
+        let err = lower(&mut g, &targets, None, &Budget::unlimited()).unwrap_err();
         assert!(err.message.contains("sigmoid"), "{err}");
     }
 
@@ -470,7 +444,7 @@ mod tests {
             Domain::Dsp,
             ["mul", "add", "const", "unpack", "pack"],
         ));
-        lower(&mut g, &targets).unwrap();
+        lower(&mut g, &targets, None, &Budget::unlimited()).unwrap();
         // The DSP component was flattened; the glue map stayed tensor-level
         // under the host.
         assert!(g

@@ -13,7 +13,7 @@
 //! A compiled program is addressed by [`ProgramKey`], the pair of
 //!
 //! * [`srdfg::graph_fingerprint`] of the **post-midend, pre-lowering**
-//!   srDFG — content hashes only, never arena ids, so equal source text
+//!   srDFG — content hashes only, never record addresses, so equal source text
 //!   keys equally in both the shared store and `PM_SRDFG_UNSHARED=1`
 //!   modes and across processes;
 //! * [`crate::TargetMap::fingerprint`] of the target map the compile ran
@@ -249,8 +249,14 @@ mod tests {
         let mut graph = srdfg::build(&program, &srdfg::Bindings::default()).unwrap();
         let targets = host_map();
         let key = ProgramKey::new(&graph, &targets);
-        crate::lower(&mut graph, &targets).unwrap();
-        (key, Arc::new(crate::compile_program(&graph, &targets).unwrap()))
+        crate::lower(&mut graph, &targets, None, &srdfg::Budget::unlimited()).unwrap();
+        (
+            key,
+            Arc::new(
+                crate::compile_program(Arc::new(graph), &targets, &srdfg::Budget::unlimited())
+                    .unwrap(),
+            ),
+        )
     }
 
     const DOT4: &str = "main(input float x[4], output float y) {

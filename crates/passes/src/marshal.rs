@@ -92,6 +92,7 @@ mod tests {
     use super::*;
     use pm_lower::{lower, AcceleratorSpec, TargetMap};
     use pmlang::Domain;
+    use srdfg::Budget;
     use std::collections::HashMap;
 
     fn scalar_lowered(src: &str) -> SrDfg {
@@ -105,7 +106,7 @@ mod tests {
             Domain::Dsp,
             ["add", "sub", "mul", "const", "unpack", "pack", "sigmoid"],
         ));
-        lower(&mut g, &targets).unwrap();
+        lower(&mut g, &targets, None, &Budget::unlimited()).unwrap();
         g
     }
 

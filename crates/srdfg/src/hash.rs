@@ -86,7 +86,7 @@ impl Hasher for FxHasher {
 /// graphs of two submissions of the same source under the same size
 /// bindings — fingerprint identically, in both the shared and the
 /// `PM_SRDFG_UNSHARED=1` store modes: the digest reads the *content*
-/// hashes cached on the interned payloads, never arena ids, so it is
+/// hashes cached on the interned payloads, never record addresses, so it is
 /// O(nodes + edges) yet store-layout independent.
 ///
 /// This is what `pm-serve` keys its content-addressed compiled-program

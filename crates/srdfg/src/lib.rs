@@ -72,8 +72,8 @@ pub use budget::{Budget, BudgetExceeded};
 pub use build::{build, Bindings};
 pub use error::{BuildError, ExecError};
 pub use expand::{
-    refine, refine_for_splice, refine_many, refine_node_canonical, scalar_expansion_eligible,
-    ExpandOptions, RefineError,
+    refine, refine_for_splice, refine_node_canonical, scalar_expansion_eligible, ExpandOptions,
+    RefineError,
 };
 pub use graph::{
     Edge, EdgeId, EdgeMeta, IndexRange, MapSpec, Modifier, Node, NodeId, NodeKind, Pattern,

@@ -19,7 +19,7 @@
 //! constructors) make that the only expressible discipline.
 //!
 //! Setting `PM_SRDFG_UNSHARED=1` disables deduplication for the whole
-//! process: every intern call allocates a fresh record (fresh arena id,
+//! process: every intern call allocates a fresh record (fresh address,
 //! same structural hash). This is the reference "unshared" configuration
 //! the differential suite runs against — byte-for-byte identical compiler
 //! output proves sharing is unobservable.
@@ -33,9 +33,9 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// One arena record: the payload plus its identity within the store.
+/// One arena record: the payload plus its cached structural hash. The
+/// record's address is its identity ([`Consed::ptr_id`]).
 pub struct ConsedRec<T> {
-    id: u32,
     hash: u64,
     value: T,
 }
@@ -50,20 +50,16 @@ pub struct ConsedRec<T> {
 pub struct Consed<T>(Arc<ConsedRec<T>>);
 
 impl<T> Consed<T> {
-    /// The payload's arena id (unique per distinct value per type while
-    /// sharing is enabled; unique per intern call in unshared mode).
-    pub fn arena_id(&self) -> u32 {
-        self.0.id
-    }
-
     /// The payload's structural hash, cached at intern time.
     pub fn structural_hash(&self) -> u64 {
         self.0.hash
     }
 
     /// Address identity of the shared record — stable for the life of the
-    /// handle, equal exactly for handles sharing one record. Useful as a
-    /// tiny memo key (e.g. the per-splice span-stamping cache).
+    /// handle, equal exactly for handles sharing one record (one per
+    /// distinct value per type while sharing is enabled; one per intern
+    /// call in unshared mode). Useful as a tiny memo key (e.g. the
+    /// per-splice span-stamping cache).
     pub fn ptr_id(&self) -> usize {
         Arc::as_ptr(&self.0) as usize
     }
@@ -121,7 +117,6 @@ impl<T: Internable> From<T> for Consed<T> {
 /// hash different-content collisions chain in the bucket's `Vec`).
 pub struct Interner<T> {
     buckets: HashMap<u64, Vec<Consed<T>>, FxBuildHasher>,
-    next_id: u32,
     records: u64,
     bytes: u64,
     hits: u64,
@@ -129,7 +124,7 @@ pub struct Interner<T> {
 
 impl<T> Default for Interner<T> {
     fn default() -> Self {
-        Interner { buckets: HashMap::default(), next_id: 0, records: 0, bytes: 0, hits: 0 }
+        Interner { buckets: HashMap::default(), records: 0, bytes: 0, hits: 0 }
     }
 }
 
@@ -169,12 +164,10 @@ pub fn intern<T: Internable>(value: T) -> Consed<T> {
 
 impl<T: Internable> Interner<T> {
     fn insert(&mut self, value: T, hash: u64) -> Consed<T> {
-        let id = self.next_id;
-        self.next_id += 1;
         self.records += 1;
         self.bytes += value.heap_bytes() as u64;
         GENERATION.fetch_add(1, Ordering::Relaxed);
-        let handle = Consed(Arc::new(ConsedRec { id, hash, value }));
+        let handle = Consed(Arc::new(ConsedRec { hash, value }));
         if !sharing_disabled() {
             self.buckets.entry(hash).or_default().push(handle.clone());
         }
@@ -444,9 +437,8 @@ mod tests {
         let a = intern(meta("x"));
         let b = intern(meta("x"));
         if sharing_disabled() {
-            assert_ne!(a.arena_id(), b.arena_id());
+            assert_ne!(a.ptr_id(), b.ptr_id());
         } else {
-            assert_eq!(a.arena_id(), b.arena_id());
             assert_eq!(a.ptr_id(), b.ptr_id());
         }
         assert_eq!(a, b);
@@ -457,7 +449,7 @@ mod tests {
     fn different_content_gets_distinct_records() {
         let a = intern(meta("x"));
         let b = intern(meta("y"));
-        assert_ne!(a.arena_id(), b.arena_id());
+        assert_ne!(a.ptr_id(), b.ptr_id());
         assert_ne!(a, b);
     }
 
@@ -476,7 +468,7 @@ mod tests {
         assert!(g1 > g0, "new record must tick the generation");
         let b = intern(meta("gen-probe"));
         if !sharing_disabled() {
-            assert_eq!(a.arena_id(), b.arena_id());
+            assert_eq!(a.ptr_id(), b.ptr_id());
         }
     }
 }

@@ -43,8 +43,8 @@
 //! only **capacity** eviction: the cache holds at most `capacity_units`
 //! worth of templates (units = template nodes + edges, a proxy for
 //! bytes) and evicts least-recently-used entries past that. The handle
-//! is cheaply cloneable and thread-safe; [`crate::expand::refine_many`]
-//! workers and a future `pmc serve` loop can share one instance.
+//! is cheaply cloneable and thread-safe, so the `pmc serve` workers share
+//! one instance.
 
 use crate::expand::ExpandOptions;
 use crate::graph::{EdgeMeta, Modifier, Node, NodeKind, SrDfg};

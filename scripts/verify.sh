@@ -44,7 +44,7 @@ sys.exit(1 if ratio > 1.25 else 0)
 EOF
 }
 for attempt in 1 2; do
-    cargo run --release -p pm-bench --bin pm-bench -- --quick --threads 1 \
+    cargo run --release -p pm-bench --bin pm-bench -- --quick \
         --out target/BENCH_smoke.json
     if perf_gate fft-256 target/BENCH_smoke.json; then
         break
@@ -57,7 +57,7 @@ done
 
 echo "== pm-bench kmeans-784 warm perf gate (hash-consed store headline)"
 for attempt in 1 2; do
-    cargo run --release -p pm-bench --bin pm-bench -- --threads 1 --only kmeans-784 \
+    cargo run --release -p pm-bench --bin pm-bench -- --only kmeans-784 \
         --out target/BENCH_kmeans.json
     if perf_gate kmeans-784 target/BENCH_kmeans.json; then
         break

@@ -114,6 +114,7 @@ fn complex_fed_into_real_program_is_rejected() {
 fn lowering_failure_names_the_operation_and_target() {
     // A target without nonlinear units cannot take sigmoid.
     use pm_lower::{lower, AcceleratorSpec, TargetMap};
+    use srdfg::Budget;
     let (prog, _) = pmlang::frontend(
         "main(input float x[4], output float y[4]) { index i[0:3]; y[i] = sigmoid(x[i]); }",
     )
@@ -127,7 +128,7 @@ fn lowering_failure_names_the_operation_and_target() {
         pmlang::Domain::DataAnalytics,
         ["add", "mul", "const", "unpack", "pack"],
     ));
-    let err = lower(&mut g, &targets).unwrap_err();
+    let err = lower(&mut g, &targets, None, &Budget::unlimited()).unwrap_err();
     assert!(err.to_string().contains("sigmoid"), "{err}");
     assert!(err.to_string().contains("NOSIG"), "{err}");
 }
@@ -135,6 +136,7 @@ fn lowering_failure_names_the_operation_and_target() {
 #[test]
 fn expansion_cap_failure_is_reported_not_fatal() {
     use pm_lower::{lower, AcceleratorSpec, TargetMap};
+    use srdfg::Budget;
     let (prog, _) = pmlang::frontend(
         "main(input float x[512], output float y[512]) { index i[0:511]; y[i] = x[i] + 1.0; }",
     )
@@ -146,7 +148,7 @@ fn expansion_cap_failure_is_reported_not_fatal() {
     tiny.expand = srdfg::ExpandOptions { max_nodes: 16 };
     let mut targets = TargetMap::host_only(AcceleratorSpec::new("BARE", pmlang::Domain::Dsp, []));
     targets.set(tiny);
-    let err = lower(&mut g, &targets).unwrap_err();
+    let err = lower(&mut g, &targets, None, &Budget::unlimited()).unwrap_err();
     assert!(err.to_string().contains("limit"), "{err}");
 }
 

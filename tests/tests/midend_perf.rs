@@ -2,13 +2,11 @@
 //!
 //! The value-numbering CSE replaced a pairwise O(n²) fixpoint scan; these
 //! tests pin its behaviour to the old algorithm (kept here as a reference
-//! implementation) across the workload suite, and pin the parallel
-//! Algorithm-2 path to the serial one fragment-for-fragment.
+//! implementation) across the workload suite.
 
 use pm_passes::{CommonSubexpressionElimination, Pass};
 use pm_workloads::programs;
 use pmlang::DType;
-use polymath::Compiler;
 use srdfg::{Bindings, Machine, Modifier, NodeKind, SrDfg, Tensor};
 use std::collections::HashMap;
 
@@ -159,24 +157,5 @@ fn vn_cse_equivalent_to_pairwise_reference() {
             rows.join("\n")
         };
         assert_eq!(render(&out_vn), render(&out_ref), "{name}: outputs diverge");
-    }
-}
-
-/// Determinism guarantee: the rayon-parallel Algorithm-2 path must produce
-/// the exact `AccProgram` sequence of the serial path on every workload.
-#[test]
-fn parallel_algorithm2_matches_serial() {
-    for (name, src) in workloads() {
-        let compiler = Compiler::cross_domain();
-        let compiled =
-            compiler.compile(&src, &Bindings::default()).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let serial = pm_lower::compile_program_serial(&compiled.graph, compiler.targets())
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let parallel = pm_lower::compile_program(&compiled.graph, compiler.targets())
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(
-            serial.partitions, parallel.partitions,
-            "{name}: parallel Algorithm 2 diverged from serial"
-        );
     }
 }

@@ -13,8 +13,10 @@ use pm_lower::{compile_program, lower, AcceleratorSpec, TargetMap};
 use pm_passes::{Pass, PassManager};
 use pmlang::Domain;
 use proptest::prelude::*;
+use srdfg::Budget;
 use srdfg::{Bindings, Machine, Tensor};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Wraps a single random expression as the model program
 /// `t0[i] = <expr>; s0 = sum[i](t0[i]);` — one map, one reduction — so the
@@ -144,14 +146,14 @@ proptest! {
 
         let targets = scalar_target();
         let mut lowered = graph;
-        lower(&mut lowered, &targets).unwrap();
+        lower(&mut lowered, &targets, None, &Budget::unlimited()).unwrap();
         pm_passes::ElideMarshalling.run(&mut lowered);
         srdfg::validate::validate(&lowered).unwrap();
         prop_assert!(pm_lower::fully_lowered(&lowered, &targets));
-        let compiled = compile_program(&lowered, &targets).unwrap();
+        let compiled = compile_program(Arc::new(lowered), &targets, &Budget::unlimited()).unwrap();
         prop_assert!(compiled.partition(Some(Domain::Dsp)).is_some());
 
-        let low = Machine::new(lowered).invoke(&feeds).unwrap();
+        let low = Machine::new(Arc::unwrap_or_clone(compiled.graph)).invoke(&feeds).unwrap();
         for (k, v) in &base {
             let d = v.max_abs_diff(&low[k]).unwrap();
             let scale = 1.0 + v.as_real_slice()

@@ -3,8 +3,8 @@
 //! Two invariants hold for every internable payload:
 //!
 //! 1. **Interning is canonical** — re-interning an equal value returns a
-//!    handle with the same structural hash *and* the same arena id (one
-//!    physical record per distinct content), unless sharing is disabled
+//!    handle with the same structural hash *and* the same record address
+//!    (one physical record per distinct content), unless sharing is disabled
 //!    via `PM_SRDFG_UNSHARED=1`, in which case only the hash agreement
 //!    survives.
 //! 2. **Copy-on-write never aliases** — the divergence idiom passes use
@@ -65,7 +65,6 @@ proptest! {
         prop_assert_eq!(a.get(), &meta);
         prop_assert_eq!(b.get(), &meta);
         if !sharing_disabled() {
-            prop_assert_eq!(a.arena_id(), b.arena_id());
             prop_assert_eq!(a.ptr_id(), b.ptr_id(), "one physical record per content");
         }
     }
@@ -77,7 +76,7 @@ proptest! {
         let b: Consed<ScalarKind> = intern(kind.clone());
         prop_assert_eq!(a.structural_hash(), b.structural_hash());
         if !sharing_disabled() {
-            prop_assert_eq!(a.arena_id(), b.arena_id());
+            prop_assert_eq!(a.ptr_id(), b.ptr_id());
         }
     }
 
@@ -98,9 +97,6 @@ proptest! {
         prop_assert_eq!(diverged.get(), &owned, "new handle reads the mutation");
         // ptr inequality: the mutated content lives in a distinct record
         prop_assert_ne!(diverged.ptr_id(), original.ptr_id());
-        if !sharing_disabled() {
-            prop_assert_ne!(diverged.arena_id(), original.arena_id());
-        }
     }
 }
 
@@ -164,7 +160,7 @@ fn store_invariants_hold_under_concurrent_serve_traffic() {
                         let a: Consed<EdgeMeta> = intern(p.clone());
                         assert_eq!(a.get(), p, "interned handle must read its content");
                         if round == 0 {
-                            ids.push((i, a.structural_hash(), a.arena_id()));
+                            ids.push((i, a.structural_hash(), a.ptr_id()));
                         }
                         // CoW divergence unique to this thread: must never
                         // write through the shared record.
@@ -180,7 +176,7 @@ fn store_invariants_hold_under_concurrent_serve_traffic() {
         })
         .collect();
 
-    let per_thread: Vec<Vec<(usize, u64, u32)>> =
+    let per_thread: Vec<Vec<(usize, u64, usize)>> =
         handles.into_iter().map(|h| h.join().expect("stress thread panicked")).collect();
 
     // Serve traffic all completed underneath the interning storm.
@@ -192,8 +188,8 @@ fn store_invariants_hold_under_concurrent_serve_traffic() {
     }
 
     // Equal content ⇒ same hash on every thread; in shared mode, also the
-    // same arena id (one record per content, no duplicate admissions
-    // under contention).
+    // same record (one per content, no duplicate admissions under
+    // contention; the intern table keeps it alive across threads).
     for (i, hash, id) in &per_thread[0] {
         for other in &per_thread[1..] {
             let (oi, ohash, oid) = other[*i];

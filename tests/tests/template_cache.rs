@@ -8,7 +8,7 @@ use pm_accel::Backend;
 use pm_passes::Pass;
 use pm_workloads::programs;
 use polymath::Compiler;
-use srdfg::{Bindings, TemplateCache};
+use srdfg::{Bindings, Budget, TemplateCache};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -32,11 +32,12 @@ fn lower_and_compile(
     cache: Option<&TemplateCache>,
 ) -> (srdfg::SrDfg, pm_lower::CompiledProgram) {
     let mut graph = compiler.build_graph(src, &Bindings::default()).expect("build");
-    pm_lower::lower_with(&mut graph, compiler.targets(), cache).expect("lower");
+    let unlimited = Budget::unlimited();
+    pm_lower::lower(&mut graph, compiler.targets(), cache, &unlimited).expect("lower");
     let lowered = graph.clone();
     pm_passes::ElideMarshalling.run(&mut graph);
     pm_passes::PruneUnusedInputs.run(&mut graph);
-    let compiled = pm_lower::compile_program_shared(Arc::new(graph), compiler.targets(), true)
+    let compiled = pm_lower::compile_program(Arc::new(graph), compiler.targets(), &unlimited)
         .expect("algorithm 2");
     (lowered, compiled)
 }
@@ -128,7 +129,7 @@ fn relower_after_fault_hits_cache_and_matches_uncached() {
 
     let cache = compiler.template_cache();
     let before = cache.stats();
-    let re_cached = pm_lower::relower_without_cached(
+    let re_cached = pm_lower::relower_without(
         &compiled,
         compiler.targets(),
         std::slice::from_ref(&down),
@@ -137,7 +138,7 @@ fn relower_after_fault_hits_cache_and_matches_uncached() {
     .expect("cached re-lower");
     let delta = cache.stats().since(&before);
     let re_uncached =
-        pm_lower::relower_without(&compiled, compiler.targets(), std::slice::from_ref(&down))
+        pm_lower::relower_without(&compiled, compiler.targets(), std::slice::from_ref(&down), None)
             .expect("re-lower");
 
     assert!(delta.hits > 0, "re-lowering never hit the warmed template cache");
