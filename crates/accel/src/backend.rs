@@ -15,8 +15,18 @@ use srdfg::SrDfg;
 
 /// A simulated domain-specific accelerator (or general-purpose processor).
 ///
-/// `Send + Sync` so the SoC can estimate independent partitions on worker
-/// threads; backends are stateless cost models, so this costs nothing.
+/// `Send + Sync` because a [`crate::SocPool`] shard, backends included, is
+/// shared by every serve worker routed to it; backends are stateless cost
+/// models, so this costs nothing.
+///
+/// **Purity contract.** [`Backend::estimate`] and
+/// [`Backend::estimate_expert`] must be pure functions of
+/// `(self, prog, graph, hints)`: no interior mutability, clocks or
+/// randomness may reach the result. The SoC prices each partition once
+/// and keeps the estimate with the compiled program (DESIGN.md §10), so
+/// an impure estimate would be frozen at its first value. Configuration
+/// changes are safe: [`crate::Soc::attach`] gives the SoC a fresh
+/// identity, and no earlier estimate is consulted again.
 pub trait Backend: Send + Sync {
     /// Target name (matches the `AcceleratorSpec` name).
     fn name(&self) -> &'static str;
@@ -31,7 +41,8 @@ pub trait Backend: Send + Sync {
     fn hw(&self) -> HwConfig;
 
     /// Estimates one invocation of this backend's partition. `graph` is
-    /// the full lowered srDFG (fragments reference its nodes).
+    /// the full lowered srDFG (fragments reference its nodes). Must be pure
+    /// in `(self, prog, graph, hints)`; see the trait's purity contract.
     fn estimate(&self, prog: &AccProgram, graph: &SrDfg, hints: &WorkloadHints) -> PerfEstimate;
 
     /// Estimates the *hand-optimized* ("optimal") implementation of the
@@ -39,7 +50,8 @@ pub trait Backend: Send + Sync {
     /// the accelerator's native stack achieves (paper Fig. 9/12 baseline).
     /// Experts avoid the generic compilation overheads (schedule
     /// quantization, dispatch epilogues, imperfect tiling); the default is
-    /// the compiled estimate itself.
+    /// the compiled estimate itself. Must be pure in
+    /// `(self, prog, graph, hints)`, like [`Backend::estimate`].
     fn estimate_expert(
         &self,
         prog: &AccProgram,

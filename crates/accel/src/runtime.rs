@@ -117,7 +117,7 @@ impl Soc {
     ) -> Result<TrajectoryOutcome, SocError> {
         let invocations = inputs.invocations.max(1);
         let mut current: Option<CompiledProgram> = None;
-        let mut machine = Machine::new((*compiled.graph).clone());
+        let mut machine = compiled.machine();
         for (name, value) in inputs.state_seeds {
             machine.set_state(name, value.clone());
         }
@@ -150,7 +150,7 @@ impl Soc {
                 // A device went down mid-trajectory: move execution onto
                 // the re-lowered graph, carrying the checkpointed state
                 // across the substitution.
-                machine = Machine::new((*re.graph).clone());
+                machine = re.machine();
                 restore_states(&mut machine, &checkpoint);
                 current = Some(re);
             }

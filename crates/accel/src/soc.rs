@@ -29,12 +29,79 @@ use crate::model::{PerfEstimate, WorkloadHints};
 use pm_lower::{CompiledProgram, FragmentKind, TargetMap};
 use pmlang::Domain;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Host-manager dispatch overhead per fragment, virtual nanoseconds.
 const DISPATCH_NS: u64 = 2_000;
 /// Fault events recorded verbatim per partition; beyond this only the
 /// counters grow (`faults_seen` stays exact).
 const MAX_RECORDED_FAULTS: usize = 32;
+/// Compute estimates one program's price memo keeps; past this the oldest
+/// goes first. Far above what the serve pool needs (shards × partitions ×
+/// plain/expert), it only bounds a program priced by many throwaway SoCs.
+const MAX_MEMO_PRICES: usize = 64;
+
+/// Source of [`Soc`] configuration identities. A `u64` drawn once per
+/// `Soc::new`/`attach` cannot wrap in any real process lifetime.
+static NEXT_SOC_ID: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_soc_id() -> u64 {
+    NEXT_SOC_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// What a partition's compute estimate depends on besides the program:
+/// the pricing SoC's configuration identity, the partition, the
+/// plain/expert choice, and the workload hints (bit patterns, so `-0.0`
+/// and NaN payloads key exactly).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PriceKey {
+    soc: u64,
+    partition: usize,
+    expert: bool,
+    hints: [Option<u64>; 6],
+}
+
+impl PriceKey {
+    fn new(soc: u64, partition: usize, expert: bool, h: &WorkloadHints) -> PriceKey {
+        let hints = [
+            h.effective_ops,
+            h.effective_bytes,
+            h.edges,
+            h.vertices,
+            h.gpu_batch,
+            h.native_factor.map(f64::to_bits),
+        ];
+        PriceKey { soc, partition, expert, hints }
+    }
+}
+
+/// A program's memo of partition compute estimates (DESIGN.md §10). It
+/// lives in the program ([`CompiledProgram::memo`]), so it is dropped with
+/// it; a cached program is priced once per SoC and partition, and every
+/// later invocation pays only for dispatch.
+#[derive(Debug, Default)]
+struct PriceMemo {
+    prices: Mutex<Vec<(PriceKey, PerfEstimate)>>,
+}
+
+impl PriceMemo {
+    fn get(&self, key: &PriceKey) -> Option<PerfEstimate> {
+        let prices = self.prices.lock().unwrap_or_else(PoisonError::into_inner);
+        prices.iter().find(|(k, _)| k == key).map(|&(_, p)| p)
+    }
+
+    fn put(&self, key: PriceKey, price: PerfEstimate) {
+        let mut prices = self.prices.lock().unwrap_or_else(PoisonError::into_inner);
+        if prices.iter().any(|(k, _)| *k == key) {
+            return;
+        }
+        if prices.len() >= MAX_MEMO_PRICES {
+            prices.remove(0);
+        }
+        prices.push((key, price));
+    }
+}
 
 /// Per-partition result within a SoC run.
 #[derive(Debug, Clone, PartialEq)]
@@ -197,7 +264,13 @@ impl Carry {
 
 /// A host plus a set of cascaded accelerator backends.
 pub struct Soc {
-    backends: Vec<Box<dyn Backend>>,
+    /// Identity of this backend configuration, drawn fresh by `new` and
+    /// by every `attach`: it keys this SoC's entries in a program's price
+    /// memo, so differently configured SoCs never see each other's prices.
+    id: u64,
+    /// Attached backends with their target-spec names, resolved once at
+    /// attach time (building a spec allocates its whole op set).
+    backends: Vec<(String, Box<dyn Backend>)>,
     host: Cpu,
     dma: DmaModel,
     /// Energy per DMA byte (interconnect + DRAM access), joules.
@@ -215,7 +288,7 @@ pub struct Soc {
 impl std::fmt::Debug for Soc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Soc")
-            .field("backends", &self.backends.iter().map(|b| b.name()).collect::<Vec<_>>())
+            .field("backends", &self.backends.iter().map(|(_, b)| b.name()).collect::<Vec<_>>())
             .finish()
     }
 }
@@ -230,6 +303,7 @@ impl Soc {
     /// Creates a SoC with only the host CPU.
     pub fn new() -> Self {
         Soc {
+            id: fresh_soc_id(),
             backends: Vec::new(),
             host: Cpu::default(),
             dma: DmaModel::default(),
@@ -250,19 +324,20 @@ impl Soc {
     /// the same name).
     pub fn attach(&mut self, backend: impl Backend + 'static) -> &mut Self {
         let name = backend.accel_spec().name;
-        self.backends.retain(|b| b.accel_spec().name != name);
-        self.backends.push(Box::new(backend));
+        self.backends.retain(|(n, _)| *n != name);
+        self.backends.push((name, Box::new(backend)));
+        self.id = fresh_soc_id();
         self
     }
 
     /// The first backend serving `domain`, if attached.
     pub fn backend(&self, domain: Domain) -> Option<&dyn Backend> {
-        self.backends.iter().find(|b| b.domain() == domain).map(|b| b.as_ref())
+        self.backends.iter().find(|(_, b)| b.domain() == domain).map(|(_, b)| b.as_ref())
     }
 
     /// The backend with the given target name, if attached.
     pub fn backend_by_name(&self, name: &str) -> Option<&dyn Backend> {
-        self.backends.iter().find(|b| b.accel_spec().name == name).map(|b| b.as_ref())
+        self.backends.iter().find(|(n, _)| n == name).map(|(_, b)| b.as_ref())
     }
 
     /// The host CPU model.
@@ -272,7 +347,7 @@ impl Soc {
 
     /// Names of the attached backends (target-spec names, attach order).
     pub fn attached_names(&self) -> Vec<String> {
-        self.backends.iter().map(|b| b.accel_spec().name).collect()
+        self.backends.iter().map(|(n, _)| n.clone()).collect()
     }
 
     /// Estimates one invocation of `compiled`, with per-domain workload
@@ -357,10 +432,9 @@ impl Soc {
         // Persistent outages known before dispatch: forced downs and the
         // hostile profile's device-down draw. Only targets the program
         // actually uses matter.
-        for b in &self.backends {
-            let name = b.accel_spec().name;
-            let declared = cfg.force_down.contains(&name) || cfg.plan.device_down(&name);
-            if declared && compiled.partitions.iter().any(|p| p.target == name) {
+        for (name, _) in &self.backends {
+            let declared = cfg.force_down.contains(name) || cfg.plan.device_down(name);
+            if declared && compiled.partitions.iter().any(|p| p.target == *name) {
                 fallbacks.push(FallbackRecord {
                     target: name.clone(),
                     fault: FaultKind::DeviceDown { persistent: true },
@@ -368,7 +442,7 @@ impl Soc {
                     op: "<declared>".to_string(),
                     attempts: 0,
                 });
-                down.push(name);
+                down.push(name.clone());
             }
         }
         let mut relowered: Option<CompiledProgram> = None;
@@ -477,8 +551,8 @@ impl Soc {
     ) -> Result<Round, SocError> {
         let mut parts = Vec::with_capacity(compiled.partitions.len());
         let mut downs = Vec::new();
-        for part in &compiled.partitions {
-            match self.simulate_partition(part, compiled, hints, expert, cfg)? {
+        for index in 0..compiled.partitions.len() {
+            match self.simulate_partition(index, compiled, hints, expert, cfg)? {
                 PartSim::Done(p) => parts.push(p),
                 PartSim::Down(info) => downs.push(info),
             }
@@ -492,49 +566,34 @@ impl Soc {
 
     fn simulate_partition(
         &self,
-        part: &pm_lower::AccProgram,
+        index: usize,
         compiled: &CompiledProgram,
         hints: &HashMap<Option<Domain>, WorkloadHints>,
         expert: bool,
         cfg: &ChaosConfig,
     ) -> Result<PartSim, SocError> {
+        let part = &compiled.partitions[index];
         let default_hints = WorkloadHints::default();
         let h = hints.get(&part.domain).unwrap_or(&default_hints);
         // The partition records which target its fragments were compiled
         // for; pick the matching backend, else the host (an unaccelerated
         // domain compiles against the host spec).
-        let backend = self.backends.iter().find(|b| b.accel_spec().name == part.target);
-        let host_spec_name = self.host.accel_spec().name;
-        if backend.is_none() && part.target != host_spec_name {
+        let backend = self.backends.iter().find(|(n, _)| *n == part.target).map(|(_, b)| b);
+        if backend.is_none() && part.target != self.host.accel_spec().name {
             return Err(SocError::missing_backend(
                 part.target.clone(),
                 part.domain,
                 self.attached_names(),
             ));
         }
-        let (target, compute) = match backend {
-            Some(backend) if expert => {
-                (backend.name().to_string(), backend.estimate_expert(part, &compiled.graph, h))
-            }
-            Some(backend) => {
-                (backend.name().to_string(), backend.estimate(part, &compiled.graph, h))
-            }
-            None => {
-                // Unaccelerated domains and host glue run on the CPU.
-                let mut est = self.host.estimate(part, &compiled.graph, h);
-                if expert {
-                    // The hand-tuned reference is native C against the
-                    // vendor libraries, ~15% tighter than the code the
-                    // generic stack emits for the host.
-                    est.seconds *= 0.85;
-                    est.energy_j *= 0.85;
-                    est.cycles = (est.cycles as f64 * 0.85) as u64;
-                }
-                (self.host.name().to_string(), est)
-            }
+        let target = match backend {
+            Some(backend) => backend.name(),
+            // Unaccelerated domains and host glue run on the CPU.
+            None => self.host.name(),
         };
+        let compute = self.price(compiled, index, backend.map(|b| b.as_ref()), h, expert);
         let mut r = PartitionReport {
-            target,
+            target: target.to_string(),
             domain: part.domain,
             compute,
             dma: PerfEstimate::default(),
@@ -651,6 +710,46 @@ impl Soc {
         }
         r.virtual_ns = clock.now_ns();
         Ok(PartSim::Done(r))
+    }
+
+    /// The compute estimate of partition `index` on `backend` (the host
+    /// when `None`), from the program's price memo when this SoC has
+    /// priced it before. Backends are pure in their inputs (see
+    /// [`Backend::estimate`]), so a remembered price is the price.
+    fn price(
+        &self,
+        compiled: &CompiledProgram,
+        index: usize,
+        backend: Option<&dyn Backend>,
+        h: &WorkloadHints,
+        expert: bool,
+    ) -> PerfEstimate {
+        let key = PriceKey::new(self.id, index, expert, h);
+        let memo = compiled.memo::<PriceMemo>();
+        if let Some(price) = memo.and_then(|m| m.get(&key)) {
+            return price;
+        }
+        let part = &compiled.partitions[index];
+        let price = match backend {
+            Some(backend) if expert => backend.estimate_expert(part, &compiled.graph, h),
+            Some(backend) => backend.estimate(part, &compiled.graph, h),
+            None => {
+                let mut est = self.host.estimate(part, &compiled.graph, h);
+                if expert {
+                    // The hand-tuned reference is native C against the
+                    // vendor libraries, ~15% tighter than the code the
+                    // generic stack emits for the host.
+                    est.seconds *= 0.85;
+                    est.energy_j *= 0.85;
+                    est.cycles = (est.cycles as f64 * 0.85) as u64;
+                }
+                est
+            }
+        };
+        if let Some(memo) = memo {
+            memo.put(key, price);
+        }
+        price
     }
 }
 
@@ -872,5 +971,43 @@ mod tests {
             matches!(err, SocError::FallbackUnavailable { ref target, .. } if target == "DECO"),
             "got {err:?}"
         );
+    }
+
+    #[test]
+    fn price_memo_is_per_soc_configuration() {
+        let (compiled, _) = compiled_two_domain(&[Domain::Dsp, Domain::DataAnalytics]);
+        let mut s = soc();
+        let first = s.run(&compiled, &HashMap::new()).unwrap();
+        assert_eq!(s.run(&compiled, &HashMap::new()).unwrap(), first, "warm equals cold");
+        let before = s.id;
+        s.attach(Deco { dsp_blocks: 16, ..Deco::default() });
+        assert_ne!(s.id, before, "attach must draw a fresh identity");
+        let reconfigured = s.run(&compiled, &HashMap::new()).unwrap();
+        let fresh = {
+            let (compiled, _) = compiled_two_domain(&[Domain::Dsp, Domain::DataAnalytics]);
+            s.run(&compiled, &HashMap::new()).unwrap()
+        };
+        assert_eq!(reconfigured, fresh);
+        assert_ne!(reconfigured, first, "a 16-block DECO prices differently");
+    }
+
+    #[test]
+    fn a_poisoned_price_memo_keeps_pricing() {
+        let s = soc();
+        let (compiled, _) = compiled_two_domain(&[Domain::Dsp, Domain::DataAnalytics]);
+        let cold = s.run(&compiled, &HashMap::new()).unwrap();
+        let memo = compiled.memo::<PriceMemo>().expect("the SoC owns this program's memo");
+        std::thread::scope(|t| {
+            let _ = t
+                .spawn(|| {
+                    let _held = memo.prices.lock();
+                    panic!("poisoning the price memo");
+                })
+                .join();
+        });
+        assert!(memo.prices.is_poisoned());
+        assert_eq!(s.run(&compiled, &HashMap::new()).unwrap(), cold);
+        let expert = s.run_expert(&compiled, &HashMap::new()).unwrap();
+        assert!(expert.total.seconds <= cold.total.seconds * 1.0001);
     }
 }

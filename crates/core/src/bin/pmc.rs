@@ -332,7 +332,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 Some(c) => c.profile == pm_accel::ChaosProfile::Off,
             };
             if format == "text" && chaos_off {
-                let mut machine = srdfg::Machine::new((*compiled.graph).clone());
+                let mut machine = compiled.machine();
                 for (name, tensor) in state {
                     machine.set_state(&name, tensor);
                 }

@@ -536,7 +536,7 @@ mod tests {
             ("taps".to_string(), vec_t(vec![1.0; 64])),
             ("w".to_string(), vec_t(vec![1.0, 0.0])),
         ]);
-        let mut m = srdfg::Machine::new((*compiled.graph).clone());
+        let mut m = compiled.machine();
         let out = m.invoke(&feeds).unwrap();
         let expect = 1.0 / (1.0 + (-6.4f64).exp());
         assert!((out["cls"].scalar_value().unwrap() - expect).abs() < 1e-9);

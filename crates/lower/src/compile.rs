@@ -27,8 +27,9 @@ use crate::lower::{fully_lowered, LowerError};
 use crate::spec::TargetMap;
 use pmlang::{DType, Domain};
 use srdfg::budget::Budget;
-use srdfg::{Consed, EdgeId, EdgeMeta, Ident, Modifier, NodeId, SrDfg};
-use std::sync::Arc;
+use srdfg::{Consed, EdgeId, EdgeMeta, Ident, Machine, Modifier, NodeId, Prepared, SrDfg};
+use std::any::Any;
+use std::sync::{Arc, OnceLock};
 
 /// A typed, shaped argument of a fragment: a handle on the interned edge
 /// metadata plus the edge itself. Building one is two refcount bumps —
@@ -143,15 +144,71 @@ impl AccProgram {
 /// artifact (and again into every runtime machine) used to dominate the
 /// `compile` stage. Readers deref transparently; the rare consumer that
 /// needs an owned mutable graph (fallback re-lowering) clones explicitly.
-#[derive(Debug, Clone)]
+///
+/// A program is read-only once compiled: [`CompiledProgram::machine`]
+/// and [`CompiledProgram::memo`] keep state derived from `graph` and
+/// `partitions`, so edit a clone (which starts without a memo), never a
+/// program that has already run.
 pub struct CompiledProgram {
     /// The lowered srDFG (functional ground truth; backends execute it).
     pub graph: Arc<SrDfg>,
     /// One partition per target that received at least one fragment.
     pub partitions: Vec<AccProgram>,
+    /// `graph` prepared for execution, shared by every machine handed out.
+    prepared: Arc<Prepared>,
+    /// Derived data a layer above keeps for exactly this program's
+    /// lifetime; see [`CompiledProgram::memo`].
+    memo: OnceLock<Box<dyn Any + Send + Sync>>,
+}
+
+impl std::fmt::Debug for CompiledProgram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CompiledProgram")
+            .field("graph", &self.graph)
+            .field("partitions", &self.partitions)
+            .finish()
+    }
+}
+
+impl Clone for CompiledProgram {
+    fn clone(&self) -> Self {
+        CompiledProgram {
+            graph: Arc::clone(&self.graph),
+            partitions: self.partitions.clone(),
+            prepared: Arc::clone(&self.prepared),
+            memo: OnceLock::new(),
+        }
+    }
 }
 
 impl CompiledProgram {
+    fn new(graph: Arc<SrDfg>, partitions: Vec<AccProgram>) -> Self {
+        let prepared = Arc::new(Prepared::new(Arc::clone(&graph)));
+        CompiledProgram { graph, partitions, prepared, memo: OnceLock::new() }
+    }
+
+    /// A fresh interpreter for the lowered graph, with zeroed state. Every
+    /// machine from one program shares the graph and its execution order
+    /// (computed on the first invocation, not at compile time), so handing
+    /// one out copies nothing.
+    pub fn machine(&self) -> Machine {
+        if Arc::ptr_eq(self.prepared.graph(), &self.graph) {
+            Machine::from_prepared(Arc::clone(&self.prepared))
+        } else {
+            // `graph` was replaced after compilation.
+            Machine::new(Arc::clone(&self.graph))
+        }
+    }
+
+    /// This program's memo of type `T`, created empty on first use. It
+    /// lives exactly as long as the program — a [`crate::ProgramCache`]
+    /// eviction drops it with the entry — and a clone starts without one.
+    /// The SoC keeps its cycle-model prices here. A program holds one memo
+    /// type: asking for a different `T` afterwards returns `None`.
+    pub fn memo<T: Any + Send + Sync + Default>(&self) -> Option<&T> {
+        self.memo.get_or_init(|| Box::new(T::default())).downcast_ref()
+    }
+
     /// The first partition for `domain`, if any fragments landed there.
     pub fn partition(&self, domain: Option<Domain>) -> Option<&AccProgram> {
         self.partitions.iter().find(|p| p.domain == domain)
@@ -299,7 +356,7 @@ pub fn compile_program(
         }
     }
     parts.sort_by_key(|p| (p.domain, p.target.clone()));
-    Ok(CompiledProgram { graph, partitions: parts })
+    Ok(CompiledProgram::new(graph, parts))
 }
 
 /// [`compile_program`] under its former name; `parallel` is ignored. It

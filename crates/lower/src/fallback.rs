@@ -120,7 +120,7 @@ mod tests {
         let t = |shape: Vec<usize>, data: Vec<f64>| {
             srdfg::Tensor::from_vec(DType::Float, shape, data).unwrap()
         };
-        let mut m = srdfg::Machine::new((*compiled.graph).clone());
+        let mut m = compiled.machine();
         let mut feeds = HashMap::new();
         feeds.insert("sig".to_string(), t(vec![8], (0..8).map(|i| i as f64 * 0.25).collect()));
         feeds.insert("taps".to_string(), t(vec![4], vec![0.5, -0.25, 0.125, 1.0]));

@@ -44,7 +44,7 @@ use crate::compile::CompiledProgram;
 use srdfg::FxBuildHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default capacity, in fragment+node units, of a [`ProgramCache`].
 /// Every benchmark-family program compiled for the standard SoC fits
@@ -176,7 +176,7 @@ impl ProgramCache {
     /// Looks up a compiled program, refreshing its LRU position on hit.
     pub fn lookup(&self, key: &ProgramKey) -> Option<Arc<CompiledProgram>> {
         let fp = key.fingerprint();
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(&fp) {
@@ -200,7 +200,7 @@ impl ProgramCache {
     pub fn insert(&self, key: ProgramKey, program: Arc<CompiledProgram>) {
         let fp = key.fingerprint();
         let units = program_units(&program);
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(old) = inner.map.insert(fp, Entry { key, program, units, last_used: tick }) {
@@ -221,7 +221,7 @@ impl ProgramCache {
 
     /// Current counter snapshot.
     pub fn stats(&self) -> ProgramCacheStats {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         ProgramCacheStats {
             hits: inner.hits,
             misses: inner.misses,
@@ -335,5 +335,22 @@ mod tests {
         cache.insert(key, prog);
         assert!(alias.lookup(&key).is_some());
         assert_eq!(alias.stats().inserts, 1);
+    }
+
+    #[test]
+    fn a_poisoned_cache_keeps_serving() {
+        let cache = ProgramCache::new();
+        let inner = Arc::clone(&cache.inner);
+        let _ = std::thread::spawn(move || {
+            let _held = inner.lock();
+            panic!("poisoning the program cache");
+        })
+        .join();
+        assert!(cache.inner.is_poisoned());
+        let (key, prog) = compiled(DOT4);
+        cache.insert(key, prog);
+        assert!(cache.lookup(&key).is_some());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.inserts, s.entries), (1, 1, 1));
     }
 }

@@ -9,29 +9,65 @@
 
 use crate::error::ExecError;
 use crate::graph::{
-    IndexRange, MapSpec, Modifier, NodeKind, ReduceOp, ReduceSpec, SrDfg, WriteSpec,
+    EdgeId, IndexRange, MapSpec, Modifier, NodeId, NodeKind, ReduceOp, ReduceSpec, ScalarKind,
+    SrDfg, WriteSpec,
 };
-use crate::kernel::KExpr;
+use crate::kernel::{eval_call, eval_unary};
 use crate::value::{Scalar, Tensor};
 use pmlang::BuiltinReduction;
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
+
+/// A graph ready to execute: the graph plus the node order the interpreter
+/// walks. The order is computed on first execution, not on construction,
+/// and shared by every [`Machine`] built from the same handle — so a
+/// program that is compiled once and invoked many times neither copies its
+/// graph nor re-sorts it per machine.
+#[derive(Debug)]
+pub struct Prepared {
+    graph: Arc<SrDfg>,
+    order: OnceLock<Vec<NodeId>>,
+}
+
+impl Prepared {
+    /// Wraps `graph`; no analysis runs until the first invocation.
+    pub fn new(graph: impl Into<Arc<SrDfg>>) -> Self {
+        Prepared { graph: graph.into(), order: OnceLock::new() }
+    }
+
+    /// The program graph.
+    pub fn graph(&self) -> &Arc<SrDfg> {
+        &self.graph
+    }
+
+    fn order(&self) -> &[NodeId] {
+        self.order.get_or_init(|| self.graph.topo_order())
+    }
+}
 
 /// A stateful executor for one program graph.
 #[derive(Debug, Clone)]
 pub struct Machine {
-    graph: SrDfg,
+    prepared: Arc<Prepared>,
     state: HashMap<String, Tensor>,
 }
 
 impl Machine {
-    /// Creates a machine for `graph`. State variables start zero-filled.
-    pub fn new(graph: SrDfg) -> Self {
-        Machine { graph, state: HashMap::new() }
+    /// Creates a machine for `graph` (owned or shared). State variables
+    /// start zero-filled.
+    pub fn new(graph: impl Into<Arc<SrDfg>>) -> Self {
+        Machine::from_prepared(Arc::new(Prepared::new(graph)))
+    }
+
+    /// Creates a machine over a shared [`Prepared`] graph. State variables
+    /// start zero-filled; state is never shared between machines.
+    pub fn from_prepared(prepared: Arc<Prepared>) -> Self {
+        Machine { prepared, state: HashMap::new() }
     }
 
     /// The program graph.
     pub fn graph(&self) -> &SrDfg {
-        &self.graph
+        &self.prepared.graph
     }
 
     /// Reads a persisted state variable.
@@ -58,9 +94,10 @@ impl Machine {
         &mut self,
         feeds: &HashMap<String, Tensor>,
     ) -> Result<HashMap<String, Tensor>, ExecError> {
-        let mut bound: Vec<Option<Tensor>> = Vec::new();
-        for &e in &self.graph.boundary_inputs {
-            let meta = self.graph.edge(e).meta.clone();
+        let graph = &*self.prepared.graph;
+        let mut values: Vec<Option<Tensor>> = vec![None; graph.edge_count()];
+        for &e in &graph.boundary_inputs {
+            let meta = &graph.edge(e).meta;
             let value = match meta.modifier {
                 Modifier::State => Some(
                     self.state
@@ -81,14 +118,16 @@ impl Machine {
                     meta.shape
                 )));
             }
-            bound.push(Some(value));
+            values[e.0 as usize] = Some(value);
         }
-        let results = exec_graph(&self.graph, bound)?;
+        for &id in self.prepared.order() {
+            exec_node(graph, id, &mut values)?;
+        }
+        let results = take_outputs(graph, &mut values)?;
         let mut outputs = HashMap::new();
         let mut state_updates = Vec::new();
-        for (i, &e) in self.graph.boundary_outputs.iter().enumerate() {
-            let meta = &self.graph.edge(e).meta;
-            let value = results[i].clone();
+        for (&e, value) in graph.boundary_outputs.iter().zip(results) {
+            let meta = &graph.edge(e).meta;
             match meta.modifier {
                 Modifier::State => state_updates.push((meta.name.clone(), value)),
                 _ => {
@@ -110,80 +149,90 @@ pub fn exec_graph(
     boundary_values: Vec<Option<Tensor>>,
 ) -> Result<Vec<Tensor>, ExecError> {
     let mut values: Vec<Option<Tensor>> = vec![None; graph.edge_count()];
-    for (i, &e) in graph.boundary_inputs.iter().enumerate() {
-        values[e.0 as usize] = boundary_values.get(i).cloned().flatten().or_else(|| {
-            Some(Tensor::zeros(graph.edge(e).meta.dtype, graph.edge(e).meta.shape.clone()))
-        });
+    let mut given = boundary_values.into_iter();
+    for &e in &graph.boundary_inputs {
+        let meta = &graph.edge(e).meta;
+        values[e.0 as usize] = Some(
+            given.next().flatten().unwrap_or_else(|| Tensor::zeros(meta.dtype, meta.shape.clone())),
+        );
     }
     for id in graph.topo_order() {
         exec_node(graph, id, &mut values)?;
     }
-    graph
-        .boundary_outputs
-        .iter()
-        .map(|&e| {
-            values[e.0 as usize].clone().ok_or_else(|| {
-                ExecError::new(format!(
-                    "boundary output `{}` was never produced",
-                    graph.edge(e).meta.name
-                ))
-            })
-        })
-        .collect()
+    take_outputs(graph, &mut values)
 }
 
-fn exec_node(
-    graph: &SrDfg,
-    id: crate::graph::NodeId,
-    values: &mut [Option<Tensor>],
-) -> Result<(), ExecError> {
-    let node = graph.node(id);
-    // Gather operand clones (cheap relative to kernel work; keeps borrows simple).
-    let operands: Vec<Tensor> = node
-        .inputs
-        .iter()
-        .map(|&e| {
-            values[e.0 as usize].clone().ok_or_else(|| {
-                ExecError::new(format!(
-                    "operand `{}` of `{}` not ready",
-                    graph.edge(e).meta.name,
-                    node.name
-                ))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let operand_refs: Vec<&Tensor> = operands.iter().collect();
+/// Moves the boundary outputs out of the value table, positionally. An
+/// edge listed twice is cloned for every listing but its last.
+fn take_outputs(graph: &SrDfg, values: &mut [Option<Tensor>]) -> Result<Vec<Tensor>, ExecError> {
+    let outs = &graph.boundary_outputs;
+    let mut results = Vec::with_capacity(outs.len());
+    for (i, &e) in outs.iter().enumerate() {
+        let slot = &mut values[e.0 as usize];
+        let value = if outs[i + 1..].contains(&e) { slot.clone() } else { slot.take() };
+        results.push(value.ok_or_else(|| {
+            ExecError::new(format!(
+                "boundary output `{}` was never produced",
+                graph.edge(e).meta.name
+            ))
+        })?);
+    }
+    Ok(results)
+}
 
-    match &node.kind {
+fn exec_node(graph: &SrDfg, id: NodeId, values: &mut [Option<Tensor>]) -> Result<(), ExecError> {
+    let node = graph.node(id);
+    // Every operand must be ready before the node fires; after this check
+    // operands are read in place, never copied out of the value table.
+    for &e in &node.inputs {
+        if values[e.0 as usize].is_none() {
+            return Err(ExecError::new(format!(
+                "operand `{}` of `{}` not ready",
+                graph.edge(e).meta.name,
+                node.name
+            )));
+        }
+    }
+    let values_ro: &[Option<Tensor>] = values;
+    let operand = |e: &EdgeId| values_ro[e.0 as usize].as_ref();
+    let operand_refs = || node.inputs.iter().filter_map(operand).collect::<Vec<&Tensor>>();
+
+    let result = match &node.kind {
         NodeKind::Component(sub) => {
-            let outs = exec_graph(sub, operands.iter().cloned().map(Some).collect())?;
+            let inputs = node.inputs.iter().map(|e| operand(e).cloned()).collect();
+            let outs = exec_graph(sub, inputs)?;
             for (&e, v) in node.outputs.iter().zip(outs) {
                 values[e.0 as usize] = Some(v);
             }
+            return Ok(());
         }
         NodeKind::Map(spec) => {
             let out_meta = &graph.edge(node.outputs[0]).meta;
-            let result = exec_map(spec, &operand_refs, out_meta.dtype)?;
-            values[node.outputs[0].0 as usize] = Some(result);
+            exec_map(spec, &operand_refs(), out_meta.dtype)?
         }
         NodeKind::Reduce(spec) => {
             let out_meta = &graph.edge(node.outputs[0]).meta;
-            let result = exec_reduce(spec, &operand_refs, out_meta.dtype)?;
-            values[node.outputs[0].0 as usize] = Some(result);
+            exec_reduce(spec, &operand_refs(), out_meta.dtype)?
         }
-        NodeKind::Scalar(kind) => {
-            let result = exec_scalar(kind, &operand_refs)?;
-            values[node.outputs[0].0 as usize] = Some(result);
-        }
-        NodeKind::ConstTensor(t) => {
-            values[node.outputs[0].0 as usize] = Some((**t).clone());
-        }
-        NodeKind::Load | NodeKind::Store => {
-            // Pure data movement: forward the value.
-            values[node.outputs[0].0 as usize] = Some(operands[0].clone());
-        }
+        NodeKind::Scalar(kind) => exec_scalar(kind, |i| {
+            node.inputs
+                .get(i)
+                .and_then(operand)
+                .map(|t| t.get_flat(0))
+                .ok_or_else(|| ExecError::new("missing scalar operand"))
+        })?,
+        NodeKind::ConstTensor(t) => (**t).clone(),
+        // Pure data movement: forward the value.
+        NodeKind::Load | NodeKind::Store => node
+            .inputs
+            .first()
+            .and_then(operand)
+            .cloned()
+            .ok_or_else(|| ExecError::new(format!("`{}` has no operand to move", node.name)))?,
         NodeKind::Unpack => {
-            let t = &operands[0];
+            let t = node.inputs.first().and_then(operand).ok_or_else(|| {
+                ExecError::new(format!("`{}` has no operand to unpack", node.name))
+            })?;
             if t.len() != node.outputs.len() {
                 return Err(ExecError::new(format!(
                     "unpack of {} elements into {} edges",
@@ -191,32 +240,34 @@ fn exec_node(
                     node.outputs.len()
                 )));
             }
-            for (i, &e) in node.outputs.iter().enumerate() {
-                let mut s = if t.dtype() == pmlang::DType::Complex {
-                    Tensor::zeros(pmlang::DType::Complex, vec![])
-                } else {
-                    Tensor::zeros(t.dtype(), vec![])
-                };
+            let mut parts = Vec::with_capacity(node.outputs.len());
+            for i in 0..node.outputs.len() {
+                let mut s = Tensor::zeros(t.dtype(), vec![]);
                 s.set_flat(0, t.get_flat(i))?;
+                parts.push(s);
+            }
+            for (&e, s) in node.outputs.iter().zip(parts) {
                 values[e.0 as usize] = Some(s);
             }
+            return Ok(());
         }
         NodeKind::Pack => {
             let meta = &graph.edge(node.outputs[0]).meta;
             let mut t = Tensor::zeros(meta.dtype, meta.shape.clone());
-            if t.len() != operands.len() {
+            if t.len() != node.inputs.len() {
                 return Err(ExecError::new(format!(
                     "pack of {} edges into {} elements",
-                    operands.len(),
+                    node.inputs.len(),
                     t.len()
                 )));
             }
-            for (i, s) in operands.iter().enumerate() {
+            for (i, s) in node.inputs.iter().filter_map(operand).enumerate() {
                 t.set_flat(i, s.get_flat(0))?;
             }
-            values[node.outputs[0].0 as usize] = Some(t);
+            t
         }
-    }
+    };
+    values[node.outputs[0].0 as usize] = Some(result);
     Ok(())
 }
 
@@ -323,13 +374,11 @@ pub fn exec_reduce(
     })?;
 
     // Materialize the output tensor.
-    let carry_shift = usize::from(spec.write.carried);
     let mut out = init_output(&spec.write, operands, out_dtype)?;
-    let _ = carry_shift;
     let mut opoint = vec![0i64; spec.out_space.len()];
     let mut lhs_point = vec![0i64; spec.write.lhs.len()];
     let mut flat = 0usize;
-    for_each_point(&spec.out_space.clone(), &mut opoint, &mut |idx| {
+    for_each_point(&spec.out_space, &mut opoint, &mut |idx| {
         let value = match (&spec.op, acc[flat]) {
             (ReduceOp::Builtin(b), None) => {
                 if b.is_arg() {
@@ -367,27 +416,22 @@ fn combine_builtin(b: BuiltinReduction, prev: Scalar, elem: Scalar) -> Result<Sc
     }
 }
 
-fn exec_scalar(kind: &crate::graph::ScalarKind, operands: &[&Tensor]) -> Result<Tensor, ExecError> {
-    use crate::graph::ScalarKind;
-    let get = |i: usize| -> Result<Scalar, ExecError> {
-        operands
-            .get(i)
-            .map(|t| t.get_flat(0))
-            .ok_or_else(|| ExecError::new("missing scalar operand"))
-    };
+/// Evaluates a scalar node; `get(i)` reads operand `i` (only the operands
+/// the node's kind uses are read).
+fn exec_scalar(
+    kind: &ScalarKind,
+    get: impl Fn(usize) -> Result<Scalar, ExecError>,
+) -> Result<Tensor, ExecError> {
     let v = match kind {
         ScalarKind::Const(c) => Scalar::Real(*c),
         ScalarKind::Bin(op) => crate::kernel::eval_binary(*op, get(0)?, get(1)?)?,
-        ScalarKind::Un(op) => {
-            let k = KExpr::Unary(*op, Box::new(KExpr::Arg(0)));
-            k.eval(&[], &[], &[get(0)?])?
-        }
-        ScalarKind::Func(f) => {
-            let args: Vec<KExpr> = (0..f.arity()).map(KExpr::Arg).collect();
-            let k = KExpr::Call(*f, args);
-            let vals: Vec<Scalar> = (0..f.arity()).map(&get).collect::<Result<_, _>>()?;
-            k.eval(&[], &[], &vals)?
-        }
+        ScalarKind::Un(op) => eval_unary(*op, get(0)?)?,
+        ScalarKind::Func(f) => match f.arity() {
+            0 => eval_call(*f, &[])?,
+            1 => eval_call(*f, &[get(0)?])?,
+            2 => eval_call(*f, &[get(0)?, get(1)?])?,
+            n => eval_call(*f, &(0..n).map(&get).collect::<Result<Vec<_>, _>>()?)?,
+        },
         ScalarKind::Select => {
             if get(0)?.as_bool()? {
                 get(1)?
@@ -396,10 +440,11 @@ fn exec_scalar(kind: &crate::graph::ScalarKind, operands: &[&Tensor]) -> Result<
             }
         }
     };
-    let mut t = Tensor::zeros(pmlang::DType::Float, vec![]);
-    if let Scalar::Complex(..) = v {
-        t = Tensor::zeros(pmlang::DType::Complex, vec![]);
-    }
+    let dtype = match v {
+        Scalar::Complex(..) => pmlang::DType::Complex,
+        Scalar::Real(_) => pmlang::DType::Float,
+    };
+    let mut t = Tensor::zeros(dtype, vec![]);
     t.set_flat(0, v)?;
     Ok(t)
 }

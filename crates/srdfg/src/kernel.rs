@@ -209,7 +209,7 @@ impl KExpr {
 }
 
 /// Applies a unary operator to a scalar.
-fn eval_unary(op: UnOp, v: Scalar) -> Result<Scalar, ValueError> {
+pub(crate) fn eval_unary(op: UnOp, v: Scalar) -> Result<Scalar, ValueError> {
     match (op, v) {
         (UnOp::Neg, Scalar::Real(x)) => Ok(Scalar::Real(-x)),
         (UnOp::Neg, Scalar::Complex(re, im)) => Ok(Scalar::Complex(-re, -im)),
@@ -267,7 +267,7 @@ fn as_complex(s: Scalar) -> (f64, f64) {
 }
 
 /// Applies a built-in scalar function, handling the complex-aware builtins.
-fn eval_call(f: ScalarFunc, args: &[Scalar]) -> Result<Scalar, ValueError> {
+pub(crate) fn eval_call(f: ScalarFunc, args: &[Scalar]) -> Result<Scalar, ValueError> {
     match f {
         ScalarFunc::Complex => Ok(Scalar::Complex(args[0].as_real()?, args[1].as_real()?)),
         ScalarFunc::CReal => Ok(Scalar::Real(as_complex(args[0]).0)),

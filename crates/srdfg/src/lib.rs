@@ -81,7 +81,7 @@ pub use graph::{
 };
 pub use hash::{graph_fingerprint, node_structural_hash, FxBuildHasher, FxHasher};
 pub use ident::Ident;
-pub use interp::Machine;
+pub use interp::{Machine, Prepared};
 pub use kernel::KExpr;
 pub use smallids::SmallIds;
 pub use store::{

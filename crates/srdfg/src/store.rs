@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// One arena record: the payload plus its cached structural hash. The
 /// record's address is its identity ([`Consed::ptr_id`]).
@@ -148,7 +148,7 @@ pub fn sharing_disabled() -> bool {
 /// fresh unique record in unshared mode).
 pub fn intern<T: Internable>(value: T) -> Consed<T> {
     let hash = value.structural_hash();
-    let mut table = T::interner().lock().expect("srdfg store poisoned");
+    let mut table = T::interner().lock().unwrap_or_else(PoisonError::into_inner);
     if sharing_disabled() {
         return table.insert(value, hash);
     }
@@ -237,7 +237,7 @@ impl StoreStats {
 }
 
 fn table_stats<T: Internable>() -> TableStats {
-    T::interner().lock().expect("srdfg store poisoned").stats()
+    T::interner().lock().unwrap_or_else(PoisonError::into_inner).stats()
 }
 
 /// Snapshots every intern table's counters.
@@ -470,5 +470,20 @@ mod tests {
         if !sharing_disabled() {
             assert_eq!(a.ptr_id(), b.ptr_id());
         }
+    }
+
+    #[test]
+    fn a_poisoned_table_keeps_interning() {
+        // A panic while the table's lock is held (here on purpose) must
+        // not brick every later intern in the process.
+        let _ = std::thread::spawn(|| {
+            let _held = EdgeMeta::interner().lock();
+            panic!("poisoning the edge-metadata table");
+        })
+        .join();
+        assert!(EdgeMeta::interner().is_poisoned());
+        let a = intern(meta("after-poison"));
+        assert_eq!(a.name, "after-poison");
+        assert!(store_stats().edge_metas.records > 0);
     }
 }

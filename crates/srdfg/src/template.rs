@@ -53,7 +53,7 @@ use crate::store::Consed;
 use pmlang::DType;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default capacity, in `nodes + edges` units, of a [`TemplateCache`].
 /// Generous enough to hold every distinct expansion of the benchmark
@@ -213,7 +213,7 @@ impl TemplateCache {
     /// Looks up a template, refreshing its LRU position on hit.
     pub fn lookup(&self, key: &TemplateKey) -> Option<Arc<SrDfg>> {
         let fp = key.fingerprint();
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(&fp) {
@@ -237,7 +237,7 @@ impl TemplateCache {
     pub fn insert(&self, key: TemplateKey, template: Arc<SrDfg>) {
         let fp = key.fingerprint();
         let units = template.node_count() + template.edge_count();
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(old) = inner.map.insert(fp, Entry { key, template, units, last_used: tick }) {
@@ -260,12 +260,12 @@ impl TemplateCache {
     /// because its refinement is not template-shaped (see
     /// [`TemplateCacheStats::bypassed`]).
     pub fn record_bypass(&self) {
-        self.inner.lock().unwrap().bypassed += 1;
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).bypassed += 1;
     }
 
     /// Current counter snapshot.
     pub fn stats(&self) -> TemplateCacheStats {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         TemplateCacheStats {
             hits: inner.hits,
             misses: inner.misses,
@@ -394,5 +394,23 @@ mod tests {
         cache.insert(key.clone(), t);
         assert!(alias.lookup(&key).is_some());
         assert_eq!(alias.stats().inserts, 1);
+    }
+
+    #[test]
+    fn a_poisoned_cache_keeps_serving() {
+        let cache = TemplateCache::new();
+        let inner = Arc::clone(&cache.inner);
+        let _ = std::thread::spawn(move || {
+            let _held = inner.lock();
+            panic!("poisoning the template cache");
+        })
+        .join();
+        assert!(cache.inner.is_poisoned());
+        let (key, t) = key_of(2.0, 4);
+        cache.insert(key.clone(), t);
+        assert!(cache.lookup(&key).is_some());
+        cache.record_bypass();
+        let s = cache.stats();
+        assert_eq!((s.hits, s.inserts, s.bypassed), (1, 1, 1));
     }
 }

@@ -14,7 +14,7 @@
 use pm_workloads::apps;
 use pmlang::Domain;
 use polymath::{standard_soc, Compiler};
-use srdfg::{Bindings, Machine, Tensor};
+use srdfg::{Bindings, Tensor};
 use std::collections::HashMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .join(" -> ")
     );
 
-    let mut machine = Machine::new((*compiled.graph).clone());
+    let mut machine = compiled.machine();
     let t = |shape: Vec<usize>, seed| pm_workloads::datagen::normal_tensor(shape, 0.2, seed);
     let params = HashMap::from([
         ("P".to_string(), t(vec![c, 3], 2)),

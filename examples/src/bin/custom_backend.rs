@@ -45,6 +45,8 @@ impl Backend for SystolicDot {
         HwConfig { name: "SystolicDot", freq_hz: 500.0e6, power_w: 2.0 }
     }
 
+    // Must be pure in (self, prog, graph, hints): the SoC prices each
+    // partition once and reuses the estimate on every later invocation.
     fn estimate(&self, prog: &AccProgram, graph: &SrDfg, _: &WorkloadHints) -> PerfEstimate {
         let mut cycles = 0u64;
         for frag in prog.fragments.iter().filter(|f| f.kind == FragmentKind::Compute) {

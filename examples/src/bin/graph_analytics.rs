@@ -11,7 +11,7 @@ use pm_accel::WorkloadHints;
 use pm_workloads::{datagen, programs, reference};
 use pmlang::Domain;
 use polymath::{standard_soc, Compiler};
-use srdfg::{Bindings, Machine, Tensor};
+use srdfg::{Bindings, Tensor};
 use std::collections::HashMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Iterate: the host invokes one relaxation sweep per step, with the
     // `level` state persisting on the accelerator between sweeps.
-    let mut machine = Machine::new((*compiled.graph).clone());
+    let mut machine = compiled.machine();
     let mut level0 = vec![1.0e6f64; vertices];
     level0[0] = 0.0;
     machine.set_state("level", Tensor::from_vec(pmlang::DType::Float, vec![vertices], level0)?);

@@ -12,14 +12,14 @@
 use pm_accel::{Backend, HyperStreams, WorkloadHints};
 use pm_workloads::{apps, datagen, reference};
 use polymath::{standard_soc, Compiler};
-use srdfg::{Bindings, Machine, Tensor};
+use srdfg::{Bindings, Tensor};
 use std::collections::HashMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- functional run at test scale --------------------------------
     let app = apps::option_pricing(32, 8);
     let compiled = Compiler::cross_domain().compile(&app.source, &Bindings::default())?;
-    let mut machine = Machine::new((*compiled.graph).clone());
+    let mut machine = compiled.machine();
 
     let spots = [95.0, 100.0, 105.0, 110.0, 90.0, 100.0, 120.0, 100.0];
     let vols = [0.15, 0.2, 0.25, 0.2, 0.3, 0.18, 0.22, 0.2];

@@ -7,7 +7,7 @@
 //! ```
 
 use polymath::{standard_soc, Compiler};
-use srdfg::{Bindings, Machine, Tensor};
+use srdfg::{Bindings, Tensor};
 use std::collections::HashMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("taps".to_string(), Tensor::from_vec(pmlang::DType::Float, vec![8], vec![0.125; 8])?),
         ("w".to_string(), Tensor::from_vec(pmlang::DType::Float, vec![57], vec![0.2; 57])?),
     ]);
-    let mut machine = Machine::new((*compiled.graph).clone());
+    let mut machine = compiled.machine();
     let out = machine.invoke(&feeds)?;
     println!("anomaly score: {:.4}", out["anomaly"].scalar_value()?);
 

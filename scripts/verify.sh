@@ -219,6 +219,13 @@ echo "== resilience differential suite (shared vs PM_SRDFG_UNSHARED=1)"
 cargo test --release -q -p pm-tests --test resilience
 PM_SRDFG_UNSHARED=1 cargo test --release -q -p pm-tests --test resilience
 
+echo "== price-memo differential suite (shared vs PM_SRDFG_UNSHARED=1)"
+# A program-cache hit reuses its per-program price memo and prepared
+# machine (DESIGN.md §10); reports, fuel errors and chaos responses must
+# match fresh, unshared runs byte for byte in both store modes.
+cargo test --release -q -p pm-tests --test price_memo
+PM_SRDFG_UNSHARED=1 cargo test --release -q -p pm-tests --test price_memo
+
 echo "== pmc soak smoke (hostile profile, fixed seed, 200 requests)"
 # The deterministic chaos soak is its own gate: the harness exits
 # nonzero if any worker dies (beyond the contained poison), any response

@@ -3,7 +3,7 @@
 //! offending construct.
 
 use polymath::{Compiler, PolyMathError};
-use srdfg::{Bindings, Machine, Tensor};
+use srdfg::{Bindings, Tensor};
 use std::collections::HashMap;
 
 fn vec_t(v: Vec<f64>) -> Tensor {
@@ -72,7 +72,7 @@ fn runtime_out_of_bounds_is_an_exec_error() {
         )
         .unwrap();
     let feeds = HashMap::from([("x".to_string(), vec_t(vec![1.0, 2.0, 3.0, 4.0]))]);
-    let err = Machine::new((*compiled.graph).clone()).invoke(&feeds).unwrap_err();
+    let err = compiled.machine().invoke(&feeds).unwrap_err();
     assert!(err.to_string().contains("out of bounds"), "{err}");
 }
 
@@ -84,11 +84,11 @@ fn missing_and_misshapen_feeds_are_named() {
             &Bindings::default(),
         )
         .unwrap();
-    let err = Machine::new((*compiled.graph).clone()).invoke(&HashMap::new()).unwrap_err();
+    let err = compiled.machine().invoke(&HashMap::new()).unwrap_err();
     assert!(err.to_string().contains("`x`"), "{err}");
 
     let feeds = HashMap::from([("x".to_string(), vec_t(vec![1.0, 2.0]))]);
-    let err = Machine::new((*compiled.graph).clone()).invoke(&feeds).unwrap_err();
+    let err = compiled.machine().invoke(&feeds).unwrap_err();
     assert!(err.to_string().contains("shape"), "{err}");
 }
 
@@ -106,7 +106,7 @@ fn complex_fed_into_real_program_is_rejected() {
     )]);
     // Shape matches but the dtype does not: the write into the real output
     // fails with a typed error.
-    let result = Machine::new((*compiled.graph).clone()).invoke(&feeds);
+    let result = compiled.machine().invoke(&feeds);
     assert!(result.is_err());
 }
 
@@ -159,7 +159,7 @@ fn division_by_zero_flows_as_ieee_infinity() {
         .compile("main(input float x, output float y) { y = 1.0 / x; }", &Bindings::default())
         .unwrap();
     let feeds = HashMap::from([("x".to_string(), Tensor::scalar(pmlang::DType::Float, 0.0))]);
-    let out = Machine::new((*compiled.graph).clone()).invoke(&feeds).unwrap();
+    let out = compiled.machine().invoke(&feeds).unwrap();
     assert!(out["y"].scalar_value().unwrap().is_infinite());
 }
 
@@ -173,7 +173,7 @@ fn deep_nesting_works_below_the_limit_and_errors_above() {
     let src = format!("main(input float x, output float y) {{ y = {expr}; }}");
     let compiled = Compiler::host_only().compile(&src, &Bindings::default()).unwrap();
     let feeds = HashMap::from([("x".to_string(), Tensor::scalar(pmlang::DType::Float, 0.0))]);
-    let out = Machine::new((*compiled.graph).clone()).invoke(&feeds).unwrap();
+    let out = compiled.machine().invoke(&feeds).unwrap();
     assert_eq!(out["y"].scalar_value().unwrap(), 80.0);
 
     // 400 levels: a diagnostic, not a stack overflow.
@@ -198,12 +198,12 @@ fn state_persists_only_within_one_machine() {
         )
         .unwrap();
     let feeds = HashMap::from([("x".to_string(), Tensor::scalar(pmlang::DType::Float, 5.0))]);
-    let mut m1 = Machine::new((*compiled.graph).clone());
+    let mut m1 = compiled.machine();
     m1.invoke(&feeds).unwrap();
     let out = m1.invoke(&feeds).unwrap();
     assert_eq!(out["y"].scalar_value().unwrap(), 10.0);
     // A fresh machine starts from zeroed state.
-    let mut m2 = Machine::new((*compiled.graph).clone());
+    let mut m2 = compiled.machine();
     let out = m2.invoke(&feeds).unwrap();
     assert_eq!(out["y"].scalar_value().unwrap(), 5.0);
 }
@@ -221,7 +221,7 @@ fn empty_index_ranges_produce_identity_results() {
         )
         .unwrap();
     let feeds = HashMap::from([("x".to_string(), vec_t(vec![2.0, 2.0, 2.0, 2.0]))]);
-    let out = Machine::new((*compiled.graph).clone()).invoke(&feeds).unwrap();
+    let out = compiled.machine().invoke(&feeds).unwrap();
     assert_eq!(out["s"].scalar_value().unwrap(), 0.0, "empty sum = 0");
     assert_eq!(out["p"].scalar_value().unwrap(), 1.0, "empty prod = 1");
 }

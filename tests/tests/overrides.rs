@@ -6,7 +6,7 @@
 use pm_accel::{Backend, HyperStreams, Tabla};
 use pm_lower::FragmentKind;
 use polymath::Compiler;
-use srdfg::{Bindings, Machine, Tensor};
+use srdfg::{Bindings, Tensor};
 use std::collections::HashMap;
 
 /// Two DA components connected back-to-back: `a` scales, `b` reduces.
@@ -60,7 +60,7 @@ fn override_preserves_functional_semantics() {
         .with_target_override("a", HyperStreams::default().accel_spec())
         .compile(TWO_DA, &Bindings::default())
         .unwrap();
-    let out = Machine::new((*compiled.graph).clone()).invoke(&two_da_feeds()).unwrap();
+    let out = compiled.machine().invoke(&two_da_feeds()).unwrap();
     let z = out["z"].scalar_value().unwrap();
     assert!((z - two_da_expected()).abs() < 1e-9, "z = {z}");
 }
@@ -173,7 +173,7 @@ fn override_on_unannotated_component_pulls_it_off_the_host() {
         ("x".to_string(), vec_t(vec![1.0; 8])),
         ("w".to_string(), vec_t(vec![2.0; 8])),
     ]);
-    let out = Machine::new((*compiled.graph).clone()).invoke(&feeds).unwrap();
+    let out = compiled.machine().invoke(&feeds).unwrap();
     assert!((out["y"].scalar_value().unwrap() - 16.0).abs() < 1e-9);
 }
 
@@ -199,7 +199,7 @@ fn option_pricing_app_splits_lr_and_blks() {
         ("rate".to_string(), Tensor::scalar(pmlang::DType::Float, 0.05)),
         ("tte".to_string(), Tensor::scalar(pmlang::DType::Float, 0.5)),
     ]);
-    let mut m = Machine::new((*compiled.graph).clone());
+    let mut m = compiled.machine();
     m.set_state("w", vec_t(vec![0.0; 32]));
     let out = m.invoke(&feeds).unwrap();
     // Zero sentiment weights → prob = 0.5 → vol = vol0 * (0.8 + 0.2).

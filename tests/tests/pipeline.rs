@@ -31,7 +31,7 @@ fn compile_and_check(
     let baseline = Machine::new(unlowered).invoke(feeds).expect("baseline run");
 
     let compiled = Compiler::cross_domain().compile(src, &Bindings::default()).expect("compile");
-    let lowered = Machine::new((*compiled.graph).clone()).invoke(feeds).expect("lowered run");
+    let lowered = compiled.machine().invoke(feeds).expect("lowered run");
 
     for (name, expect) in &baseline {
         let got = &lowered[name];
@@ -53,7 +53,7 @@ fn logistic_regression_matches_reference() {
     // Run the lowered TABLA program with seeded state.
     let compiled =
         Compiler::cross_domain().compile(&programs::logistic(n), &Bindings::default()).unwrap();
-    let mut m = Machine::new((*compiled.graph).clone());
+    let mut m = compiled.machine();
     m.set_state("w", vec_t(w0.clone()));
     let out = m.invoke(&feeds).unwrap();
 
@@ -69,7 +69,7 @@ fn kmeans_matches_reference_over_a_stream() {
     let (samples, _) = datagen::gaussian_clusters(40, 16, 4, 3);
     let compiled =
         Compiler::cross_domain().compile(&programs::kmeans(16, 4), &Bindings::default()).unwrap();
-    let mut m = Machine::new((*compiled.graph).clone());
+    let mut m = compiled.machine();
     let mut centroids: Vec<Vec<f64>> = samples[..4].to_vec();
     let init: Vec<f64> = centroids.iter().flatten().copied().collect();
     m.set_state("c", mat_t(4, 16, init));
@@ -92,7 +92,7 @@ fn lrmf_matches_reference() {
     let compiled = Compiler::cross_domain()
         .compile(&programs::lrmf(movies, rank), &Bindings::default())
         .unwrap();
-    let mut m = Machine::new((*compiled.graph).clone());
+    let mut m = compiled.machine();
     let mut u_ref = vec![0.1; rank];
     let mut m_ref = vec![vec![0.1; rank]; movies];
     m.set_state("u_f", vec_t(u_ref.clone()));
@@ -151,7 +151,7 @@ fn bfs_fixpoint_matches_reference() {
     let graph = datagen::power_law_graph(v, 3, 11);
     let compiled =
         Compiler::cross_domain().compile(&programs::bfs(v), &Bindings::default()).unwrap();
-    let mut m = Machine::new((*compiled.graph).clone());
+    let mut m = compiled.machine();
     let mut init = vec![1.0e6; v];
     init[0] = 0.0;
     m.set_state("level", vec_t(init));
@@ -184,7 +184,7 @@ fn sssp_fixpoint_matches_reference() {
     let graph = datagen::power_law_graph(v, 3, 13);
     let compiled =
         Compiler::cross_domain().compile(&programs::sssp(v), &Bindings::default()).unwrap();
-    let mut m = Machine::new((*compiled.graph).clone());
+    let mut m = compiled.machine();
     let mut init = vec![1.0e6; v];
     init[0] = 0.0;
     m.set_state("dist", vec_t(init));
@@ -217,7 +217,7 @@ fn pagerank_matches_reference() {
         Compiler::cross_domain().compile(&programs::pagerank(v), &Bindings::default()).unwrap();
     let ga = compiled.partition(Some(Domain::GraphAnalytics)).unwrap();
     assert_eq!(ga.target, "Graphicionado");
-    let mut m = Machine::new((*compiled.graph).clone());
+    let mut m = compiled.machine();
     m.set_state("rank", vec_t(vec![1.0 / v as f64; v]));
     let feeds = HashMap::from([("adj_norm".to_string(), graph.dense_normalized())]);
     let mut expect = vec![1.0 / v as f64; v];
@@ -253,7 +253,7 @@ fn mpc_matches_reference() {
     let compiled = Compiler::cross_domain()
         .compile(&programs::mobile_robot(horizon), &Bindings::default())
         .unwrap();
-    let mut m = Machine::new((*compiled.graph).clone());
+    let mut m = compiled.machine();
     let flat = |mm: &Vec<Vec<f64>>| mm.iter().flatten().copied().collect::<Vec<f64>>();
     let mut ctrl_ref = vec![0.0; b];
     for step in 0..5 {
@@ -316,7 +316,7 @@ fn hexacopter_compiles_and_runs() {
     let compiled = Compiler::cross_domain().compile(&src, &Bindings::default()).unwrap();
     let rbt = compiled.partition(Some(Domain::Robotics)).expect("RBT partition");
     assert_eq!(rbt.target, "RoboX");
-    let mut m = Machine::new((*compiled.graph).clone());
+    let mut m = compiled.machine();
     let mut r = datagen::rng(29);
     let feeds = HashMap::from([
         ("pos".to_string(), vec_t((0..12).map(|_| datagen::gaussian(&mut r) * 0.1).collect())),
@@ -344,7 +344,7 @@ fn recursive_lqr_matches_reference_across_steps() {
         (0..m).map(|r| (0..n).map(|j| if j % m == r { 0.3 } else { -0.05 }).collect()).collect();
 
     let flat = |mat: &[Vec<f64>]| mat.iter().flatten().copied().collect::<Vec<f64>>();
-    let mut machine = Machine::new((*compiled.graph).clone());
+    let mut machine = compiled.machine();
     machine.set_state("x", vec_t(vec![1.0; n]));
 
     let mut x = vec![1.0; n];

@@ -13,7 +13,7 @@ use pm_lower::FragmentKind;
 use polymath::Compiler;
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
-use srdfg::{Bindings, Machine, Tensor};
+use srdfg::{Bindings, Tensor};
 use std::collections::HashMap;
 
 /// A full differential case: a program plus inputs sized to its `n`.
@@ -74,7 +74,7 @@ fn run_and_check(
     let compiled = compiler
         .compile(&src, &Bindings::default())
         .map_err(|e| TestCaseError::fail(format!("{e}\n{src}")))?;
-    let mut machine = Machine::new((*compiled.graph).clone());
+    let mut machine = compiled.machine();
     if program.has_state() {
         machine.set_state(
             "z",

@@ -5,7 +5,7 @@
 use pm_workloads::{programs, reference};
 use polymath::Compiler;
 use proptest::prelude::*;
-use srdfg::{Bindings, Machine, Tensor};
+use srdfg::{Bindings, Tensor};
 use std::collections::HashMap;
 
 const N: usize = 4;
@@ -92,7 +92,7 @@ proptest! {
         let compiled = Compiler::cross_domain()
             .compile(&src, &Bindings::default())
             .map_err(|e| TestCaseError::fail(format!("{e}\n{src}")))?;
-        let mut machine = Machine::new((*compiled.graph).clone());
+        let mut machine = compiled.machine();
         machine.set_state(
             "s",
             Tensor::from_vec(pmlang::DType::Float, vec![N], seed.clone()).unwrap(),
@@ -134,7 +134,7 @@ proptest! {
             "x".to_string(),
             Tensor::from_complex_vec(vec![16], input.clone()).unwrap(),
         )]);
-        let out = Machine::new((*compiled.graph).clone())
+        let out = compiled.machine()
             .invoke(&feeds)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
         let expect = reference::dft(&input);

@@ -169,7 +169,7 @@ fn relower_after_fault_hits_cache_and_matches_uncached() {
             srdfg::Tensor::from_vec(pmlang::DType::Float, vec![8], vec![0.5; 8]).unwrap(),
         ),
     ]);
-    let out = srdfg::Machine::new((*re_cached.graph).clone()).invoke(&feeds).expect("run");
+    let out = re_cached.machine().invoke(&feeds).expect("run");
     let expect: f64 = (0..8).map(|i| 0.5 * i as f64).sum();
     for name in ["y", "z"] {
         let got = out[name].scalar_value().unwrap();
